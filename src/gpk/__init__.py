@@ -105,9 +105,7 @@ from .maps import (
     TriangleRegion,
     build_global_denorm_map,
     build_ground_depth_map,
-    build_refined_denorm_map,
     denorm_l1_loss,
-    rasterize_triangle,
     refine_map,
     triangulate_ground_points,
 )

@@ -151,10 +151,9 @@ def attitude_histograms(frames, bins: int, stride: int = 16):
         k = f.rig.intrinsics
         h = max(int(round(2 * k.cy)) // stride, 1)
         w = max(int(round(2 * k.cx)) // stride, 1)
-        ks = type(k)(
-            fx=k.fx / stride, fy=k.fy / stride, cx=k.cx / stride, cy=k.cy / stride
+        m, _ = refine_map(
+            f.ground, [o.box3d for o in f.objects], k.scaled(stride), h, w
         )
-        m, _ = refine_map(f.ground, [o.box3d for o in f.objects], ks, h, w)
         r, p, d = map_attitudes(m)
         rolls.append(r.reshape(-1))
         pitches.append(p.reshape(-1))

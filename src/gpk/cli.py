@@ -3,7 +3,9 @@ statistics, synthetic data, loss evaluation, and attention self-checks.
 
 Every run writes a JSON manifest next to its outputs; data files are
 written atomically (temp + rename) and are byte-reproducible for a fixed
-seed regardless of --jobs.
+seed regardless of --jobs. gen-maps and synth write each frame's files as
+soon as that frame is done and the report/manifest last, so a run that
+fails mid-fleet leaves the earlier frames' files but no manifest.
 """
 
 from __future__ import annotations
@@ -171,26 +173,32 @@ def _frames_from_args(args):
     return synthesize_scene(_scene_config(args)), []
 
 
+def _per_frame(frames, jobs: int, work):
+    """Yield work(frame) for each frame in input order, on `jobs` threads."""
+    if jobs <= 1:
+        for frame in frames:
+            yield work(frame)
+        return
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(work, frames)
+
+
 def _map_blobs(frame: FrameRecord, h: int, w: int, stride: int):
-    """Serialized depth/global/refined maps plus refinement counters."""
-    k = frame.rig.intrinsics
-    if stride > 1:
-        k = type(k)(fx=k.fx / stride, fy=k.fy / stride,
-                    cx=k.cx / stride, cy=k.cy / stride)
-        h, w = max(h // stride, 1), max(w // stride, 1)
+    """Serialized (tag, map) pairs plus refinement counters and residual."""
+    k = frame.rig.intrinsics.scaled(stride)
+    h, w = max(h // stride, 1), max(w // stride, 1)
     depth = build_ground_depth_map(k, frame.ground, h, w)
     global_map = build_global_denorm_map(frame.ground, h, w)
     refined, stats = refine_map(
         frame.ground, [o.box3d for o in frame.objects], k, h, w
     )
     residual = float(np.mean(np.abs(refined.data - global_map.data)))
-    return (
-        pack_map(depth.depth, depth.valid),
-        pack_map(global_map.data),
-        pack_map(refined.data),
-        stats,
-        residual,
+    blobs = (
+        ("depth", pack_map(depth.depth, depth.valid)),
+        ("global", pack_map(global_map.data)),
+        ("refined", pack_map(refined.data)),
     )
+    return blobs, stats, residual
 
 
 def cmd_gen_maps(args) -> int:
@@ -198,22 +206,14 @@ def cmd_gen_maps(args) -> int:
     frames, inputs = _frames_from_args(args)
     os.makedirs(args.out, exist_ok=True)
     h, w = args.resolution if args.resolution else (512, 928)
-
-    def work(frame):
-        return frame.frame_id, _map_blobs(frame, h, w, args.stride)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, frames))
-    else:
-        results = [work(f) for f in frames]
-
     outputs, report = [], []
     counters = {"frames": len(frames), "insufficient_points": 0,
                 "degenerate_skipped": 0}
-    for fid, (depth_blob, global_blob, refined_blob, stats, residual) in results:
-        for tag, blob in (("depth", depth_blob), ("global", global_blob),
-                          ("refined", refined_blob)):
+    results = _per_frame(frames, args.jobs,
+                         lambda f: _map_blobs(f, h, w, args.stride))
+    for frame, (blobs, stats, residual) in zip(frames, results):
+        fid = frame.frame_id
+        for tag, blob in blobs:
             path = os.path.join(args.out, f"{tag}_{fid}.gpkm")
             atomic_write(path, blob)
             outputs.append(path)
@@ -290,7 +290,7 @@ def cmd_stats(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     depth_hist = analysis.depth_histogram(frames, args.bins)
     roll_hist, pitch_hist, height_hist = analysis.attitude_histograms(
-        frames, args.bins, stride=args.stride if args.stride > 1 else 16
+        frames, args.bins, stride=args.stride
     )
     outputs = []
     for name, hist in (("depth", depth_hist), ("roll", roll_hist),
@@ -306,28 +306,23 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _frame_texts(frame: FrameRecord):
+    """(tag, text) pairs of one frame's label/calib/denorm files."""
+    return (
+        ("label", serialize_labels(frame.objects)),
+        ("calib", serialize_calibration(frame.rig)),
+        ("denorm", serialize_ground_plane(frame.ground)),
+    )
+
+
 def cmd_synth(args) -> int:
     t0 = time.monotonic()
     frames = synthesize_scene(_scene_config(args))
     os.makedirs(args.out, exist_ok=True)
-
-    def work(frame):
-        return frame.frame_id, (
-            serialize_labels(frame.objects),
-            serialize_calibration(frame.rig),
-            serialize_ground_plane(frame.ground),
-        )
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, frames))
-    else:
-        results = [work(f) for f in frames]
     outputs = []
-    for fid, (labels_txt, calib_txt, denorm_txt) in results:
-        for tag, text in (("label", labels_txt), ("calib", calib_txt),
-                          ("denorm", denorm_txt)):
-            path = os.path.join(args.out, f"{tag}_{fid}.txt")
+    for frame, texts in zip(frames, _per_frame(frames, args.jobs, _frame_texts)):
+        for tag, text in texts:
+            path = os.path.join(args.out, f"{tag}_{frame.frame_id}.txt")
             atomic_write(path, text)
             outputs.append(path)
     write_manifest(args.out, "synth", _effective_cfg(args), [], outputs,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, DegeneratePlane, ParseError
 from .geometry import (
     BBox3D,
     CameraAttitude,
@@ -56,7 +56,7 @@ def parse_labels(text: str):
 
     Fields: category truncated occluded alpha l t r b h w l x y z rotation_y.
     The location is interpreted as the 3D box center. Strict: exactly 15
-    fields per non-empty line.
+    fields per non-empty line, every numeric field finite.
     """
     objects = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -72,6 +72,8 @@ def parse_labels(text: str):
             vals = [float(f) for f in fields[1:]]
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
+        if not all(math.isfinite(v) for v in vals):
+            raise ParseError("numeric fields must be finite", lineno)
         trunc, occ, alpha = vals[0], vals[1], vals[2]
         l2d, t2d, r2d, b2d = vals[3:7]
         h3d, w3d, l3d = vals[7:10]
@@ -161,7 +163,12 @@ def serialize_calibration(rig: CameraRig) -> str:
 
 
 def parse_ground_plane(text: str) -> GroundPlane:
-    """Parse a denorm file: four whitespace-separated reals."""
+    """Parse a denorm file: four whitespace-separated reals.
+
+    A plane that already has a unit normal and d > 0 is kept as written,
+    so serialized planes parse back bit-exactly; any other plane is
+    normalized.
+    """
     vals = text.split()
     if len(vals) != 4:
         raise ParseError(f"expected 4 values, got {len(vals)}")
@@ -169,7 +176,14 @@ def parse_ground_plane(text: str) -> GroundPlane:
         a, b, c, d = (float(v) for v in vals)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    return GroundPlane.from_raw(a, b, c, d)
+    try:
+        return GroundPlane(a, b, c, d)
+    except (ValueError, DegeneratePlane):
+        pass
+    try:
+        return GroundPlane.from_raw(a, b, c, d)
+    except (ValueError, DegeneratePlane) as exc:
+        raise ParseError(f"bad ground plane: {exc}") from None
 
 
 def serialize_ground_plane(g: GroundPlane) -> str:

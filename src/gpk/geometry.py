@@ -50,6 +50,11 @@ class CameraIntrinsics:
             [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
         )
 
+    def scaled(self, stride: int) -> "CameraIntrinsics":
+        """Intrinsics of a map built at 1/stride of the image resolution."""
+        return CameraIntrinsics(fx=self.fx / stride, fy=self.fy / stride,
+                                cx=self.cx / stride, cy=self.cy / stride)
+
     def inverse_matrix(self) -> np.ndarray:
         return np.array(
             [

@@ -21,14 +21,13 @@ from .errors import (
     NonPositiveDepth,
 )
 from .geometry import (
+    _HORIZON_TOL,
     CameraIntrinsics,
     GroundPlane,
     bottom_center,
     plane_from_three_points,
     project_point,
 )
-
-_HORIZON_TOL = 1e-12
 
 
 @dataclass
@@ -159,7 +158,8 @@ def triangulate_ground_points(points, k: CameraIntrinsics):
 
 
 def _covered_pixels(pixels: np.ndarray, h: int, w: int):
-    """Boolean (h, w) coverage with a pixel-center / top-left fill rule.
+    """(window, mask) of the pixel centers a triangle covers in an (h, w)
+    map, or None, with a pixel-center / top-left fill rule.
 
     A pixel center on an edge belongs to the triangle iff the edge is a
     top edge (horizontal, interior below) or a left edge (going up in
@@ -199,27 +199,6 @@ def _covered_pixels(pixels: np.ndarray, h: int, w: int):
     return (slice(lo_y, hi_y + 1), slice(lo_x, hi_x + 1)), inside
 
 
-def rasterize_triangle(m: DenormMap, tri: TriangleRegion) -> DenormMap:
-    """New map with the triangle's pixels overwritten by its plane."""
-    out = DenormMap(data=m.data.copy())
-    cov = _covered_pixels(tri.pixels, m.height, m.width)
-    if cov is None:
-        return out
-    window, inside = cov
-    block = out.data[window]
-    block[inside] = tri.plane.params()
-    out.data[window] = block
-    return out
-
-
-def build_refined_denorm_map(
-    g_initial: GroundPlane, boxes, k: CameraIntrinsics, h: int, w: int
-) -> DenormMap:
-    """Global map refined by annotation-derived sub-planes (see refine_map)."""
-    m, _ = refine_map(g_initial, boxes, k, h, w)
-    return m
-
-
 def refine_map(g_initial: GroundPlane, boxes, k: CameraIntrinsics, h: int, w: int):
     """Refined map plus counters {'insufficient_points', 'degenerate_skipped'}.
 
@@ -238,16 +217,13 @@ def refine_map(g_initial: GroundPlane, boxes, k: CameraIntrinsics, h: int, w: in
         stats["degenerate_skipped"] = len(points)
         return m, stats
     stats["degenerate_skipped"] = skipped
-    data = m.data
     for tri in regions:
         cov = _covered_pixels(tri.pixels, h, w)
         if cov is None:
             continue
         window, inside = cov
-        block = data[window]
-        block[inside] = tri.plane.params()
-        data[window] = block
-    return DenormMap(data=data), stats
+        m.data[window][inside] = tri.plane.params()
+    return m, stats
 
 
 def denorm_l1_loss(pred: DenormMap, label: DenormMap) -> float:

@@ -1,4 +1,4 @@
-"""Minimal SVG scatter/line plots. Advisory output only; the CSV files
+"""Minimal SVG scatter plots. Advisory output only; the CSV files
 written alongside are the machine-readable contract."""
 
 from __future__ import annotations
@@ -62,23 +62,3 @@ def scatter_svg(series, width: int = 640, height: int = 480, title: str = "") ->
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def line_svg(xs, ys, width: int = 640, height: int = 480, title: str = "") -> str:
-    """Render one polyline as an SVG chart."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    m = 48
-    px = _scale(xs, float(xs.min()), float(xs.max()), m, width - m)
-    py = _scale(ys, float(ys.min()), float(ys.max()), height - m, m)
-    pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
-    return "\n".join(
-        [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">',
-            f'<rect width="{width}" height="{height}" fill="white"/>',
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="14">{title}</text>',
-            f'<polyline points="{pts}" fill="none" stroke="{_COLORS[0]}"/>',
-            "</svg>",
-        ]
-    ) + "\n"

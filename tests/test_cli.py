@@ -4,6 +4,8 @@ byte-reproducibility across seeds and job counts."""
 import json
 import os
 
+import pytest
+
 from gpk.cli import main
 
 SMALL = ["--frames", "3", "--resolution", "64x116"]
@@ -60,6 +62,26 @@ class TestGenMaps:
         assert code == 0
         assert (out / "depth_000000.gpkm").exists()
 
+    @pytest.mark.parametrize("name,text", [
+        ("denorm_000000.txt", "0 0 0 5\n"),
+        ("label_000000.txt",
+         "Car 0 0 0 300 200 420 260 1.5 1.8 4.2 nan 4.5 55.0 0.25\n"),
+        ("label_000000.txt",
+         "Car 0 0 0 300 200 420 260 inf 1.8 4.2 2.0 4.5 55.0 0.25\n"),
+    ], ids=["zero-normal-denorm", "nan-location", "inf-height"])
+    def test_malformed_input_value_exit_1(self, tmp_path, name, text):
+        synth = tmp_path / "synth"
+        run(["synth", "--out", str(synth), "--seed", "2", "--frames", "1"])
+        (synth / name).write_text(text)
+        code = run([
+            "gen-maps", "--out", str(tmp_path / "maps"),
+            "--calib", str(synth / "calib_000000.txt"),
+            "--labels", str(synth / "label_000000.txt"),
+            "--denorm", str(synth / "denorm_000000.txt"),
+            "--resolution", "32x58",
+        ])
+        assert code == 1
+
     def test_missing_input_file_exit_1(self, tmp_path):
         code = run([
             "gen-maps", "--out", str(tmp_path / "x"),
@@ -108,6 +130,16 @@ class TestStats:
             text = (out / f"hist_{name}.csv").read_text()
             assert text.startswith("bin_lo,bin_hi,count\n")
         assert "relative-support ratio" in capsys.readouterr().out
+
+    def test_stride_changes_attitude_histograms(self, tmp_path):
+        fleet = ["--seed", "4", "--frames", "2", "--resolution", "64x116"]
+        for stride in ("1", "16"):
+            assert run(["stats", "--out", str(tmp_path / stride),
+                        "--stride", stride] + fleet) == 0
+        for name in ("roll", "pitch", "height"):
+            fine = (tmp_path / "1" / f"hist_{name}.csv").read_text()
+            coarse = (tmp_path / "16" / f"hist_{name}.csv").read_text()
+            assert fine != coarse, name
 
 
 class TestSynth:

@@ -55,6 +55,16 @@ class TestLabels:
         with pytest.raises(ParseError):
             parse_labels(LABEL_LINE.replace("55.0", "abc"))
 
+    @pytest.mark.parametrize("field", ["x", "y", "z", "h"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected_with_line(self, field, value):
+        index = {"h": 8, "x": 11, "y": 12, "z": 13}[field]
+        fields = LABEL_LINE.split()
+        fields[index] = value
+        with pytest.raises(ParseError) as err:
+            parse_labels(LABEL_LINE + " ".join(fields) + "\n")
+        assert err.value.line == 2
+
     def test_non_integer_occlusion(self):
         with pytest.raises(ParseError):
             parse_labels(LABEL_LINE.replace(" 0 ", " 0.5 ", 1))
@@ -108,6 +118,19 @@ class TestGroundPlaneFile:
     def test_wrong_count(self):
         with pytest.raises(ParseError):
             parse_ground_plane("1 2 3")
+
+    def test_synthetic_planes_parse_back_bit_exactly(self):
+        # Seed chosen because renormalizing the unit normals of its frames
+        # 6, 8, 13 and 16 changes their last digits.
+        for frame in synthesize_scene(SceneConfig(seed=579779683)):
+            text = serialize_ground_plane(frame.ground)
+            assert parse_ground_plane(text) == frame.ground, frame.frame_id
+            assert serialize_ground_plane(parse_ground_plane(text)) == text
+
+    @pytest.mark.parametrize("text", ["0 0 0 5", "0 -1 0 0", "nan -1 0 6"])
+    def test_degenerate_plane_is_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_ground_plane(text)
 
 
 class TestSceneConfig:

@@ -70,6 +70,14 @@ class TestIntrinsics:
         with pytest.raises(Exception):
             CameraIntrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0)
 
+    def test_scaled_divides_every_field(self):
+        k = CameraIntrinsics(fx=1013.7, fy=998.1, cx=463.3, cy=255.9)
+        s = k.scaled(16)
+        assert (s.fx, s.fy, s.cx, s.cy) == (
+            k.fx / 16, k.fy / 16, k.cx / 16, k.cy / 16
+        )
+        assert k.scaled(1) == k
+
 
 class TestGroundPlane:
     def test_from_raw_normalizes(self):

@@ -17,8 +17,10 @@ from gpk.geometry import (
     GroundPlane,
     Pixel,
     attitude_to_plane,
+    bottom_center,
     ground_depth_at_pixel,
     plane_from_three_points,
+    project_point,
 )
 from gpk.mapfile import (
     load_denorm_map,
@@ -33,10 +35,9 @@ from gpk.maps import (
     GroundDepthMap,
     TriangleRegion,
     build_global_denorm_map,
+    _covered_pixels,
     build_ground_depth_map,
-    build_refined_denorm_map,
     denorm_l1_loss,
-    rasterize_triangle,
     refine_map,
     triangulate_ground_points,
 )
@@ -68,6 +69,16 @@ def barycentric_oracle(verts: np.ndarray, h: int, w: int) -> np.ndarray:
                     break
             cover[row, col] = ok
     return cover
+
+
+def covered_mask(pixels, h: int, w: int) -> np.ndarray:
+    """_covered_pixels' window + mask expanded to an (h, w) bool map."""
+    out = np.zeros((h, w), dtype=bool)
+    cov = _covered_pixels(pixels, h, w)
+    if cov is not None:
+        window, inside = cov
+        out[window] = inside
+    return out
 
 
 def make_region(pixels) -> TriangleRegion:
@@ -145,14 +156,6 @@ class TestTriangulation:
 class TestRasterization:
     def test_matches_barycentric_oracle(self):
         rng = np.random.default_rng(6)
-        marker = DenormMap(
-            data=np.broadcast_to(
-                attitude_to_plane(
-                    CameraAttitude(roll=0.0, pitch=0.3, height=9.0)
-                ).params(),
-                (32, 32, 4),
-            ).copy()
-        )
         checked = 0
         for _ in range(100):
             pix = rng.uniform(-4, 36, size=(3, 2))
@@ -160,45 +163,24 @@ class TestRasterization:
                 tri = make_region(pix)
             except Exception:
                 continue  # collinear image vertices
-            out = rasterize_triangle(marker, tri)
-            got = ~np.all(out.data == marker.data, axis=2)
+            got = covered_mask(tri.pixels, 32, 32)
             assert np.array_equal(got, barycentric_oracle(pix, 32, 32))
             checked += 1
         assert checked > 90
 
     def test_adjacent_triangles_claim_each_pixel_once(self):
         # Two triangles sharing a diagonal edge must partition the square.
-        from gpk.maps import _covered_pixels
-
         a = np.array([[2.0, 2.0], [18.0, 2.0], [18.0, 18.0]])
         b = np.array([[2.0, 2.0], [18.0, 18.0], [2.0, 18.0]])
-        got_a = np.zeros((20, 20), dtype=bool)
-        got_b = np.zeros((20, 20), dtype=bool)
-        for verts, out in ((a, got_a), (b, got_b)):
-            window, inside = _covered_pixels(verts, 20, 20)
-            out[window] = inside
+        got_a, got_b = covered_mask(a, 20, 20), covered_mask(b, 20, 20)
         assert not (got_a & got_b).any()
         assert (got_a | got_b).sum() == barycentric_oracle(a, 20, 20).sum() + (
             barycentric_oracle(b, 20, 20).sum()
         )
 
     def test_offmap_triangle_writes_nothing(self):
-        base = build_global_denorm_map(FLAT, 16, 16)
         tri = make_region([[100.0, 100.0], [110.0, 100.0], [105.0, 110.0]])
-        out = rasterize_triangle(base, tri)
-        assert np.array_equal(out.data, base.data)
-
-    def test_input_map_not_mutated(self):
-        base = build_global_denorm_map(
-            attitude_to_plane(CameraAttitude(roll=0.0, pitch=0.3, height=9.0)),
-            16,
-            16,
-        )
-        snapshot = base.data.copy()
-        tri = make_region([[2.0, 2.0], [14.0, 3.0], [8.0, 13.0]])
-        out = rasterize_triangle(base, tri)
-        assert np.array_equal(base.data, snapshot)
-        assert not np.array_equal(out.data, snapshot)
+        assert _covered_pixels(tri.pixels, 16, 16) is None
 
 
 class TestRefinement:
@@ -221,7 +203,7 @@ class TestRefinement:
     def test_flat_ground_is_fixed_point(self):
         g = attitude_to_plane(CameraAttitude(roll=0.01, pitch=0.18, height=6.0))
         boxes = self.boxes_on(g)
-        refined = build_refined_denorm_map(g, boxes, self.K8, 64, 116)
+        refined = refine_map(g, boxes, self.K8, 64, 116)[0]
         assert denorm_l1_loss(refined, build_global_denorm_map(g, 64, 116)) < 1e-9
 
     def test_too_few_boxes_returns_global(self):
@@ -237,6 +219,24 @@ class TestRefinement:
         m, stats = refine_map(FLAT, boxes, self.K8, 64, 116)
         assert denorm_l1_loss(m, build_global_denorm_map(FLAT, 64, 116)) > 0
         assert stats["insufficient_points"] == 0
+
+    def test_single_triangle_writes_its_sub_plane(self):
+        # Three boxes on a plane tilted against the global prior: exactly
+        # the pixels the edge oracle assigns to their projected triangle
+        # change, and each carries the triangle's sub-plane.
+        g2 = attitude_to_plane(CameraAttitude(roll=0.02, pitch=0.23, height=6.5))
+        boxes = self.boxes_on(g2, n=3, seed=11)
+        points = [bottom_center(b, FLAT) for b in boxes]
+        pixels = [project_point(p, self.K8) for p in points]
+        verts = np.array([[px.u, px.v] for px in pixels])
+        want = barycentric_oracle(verts, 64, 116)
+        assert want.sum() > 20
+        m, stats = refine_map(FLAT, boxes, self.K8, 64, 116)
+        assert stats == {"insufficient_points": 0, "degenerate_skipped": 0}
+        changed = np.any(m.data != FLAT.params(), axis=2)
+        assert np.array_equal(changed, want)
+        sub_plane = plane_from_three_points(*points).params()
+        assert np.all(m.data[want] == sub_plane)
 
     def test_loss_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
