@@ -33,7 +33,7 @@ from .dataio import (
     serialize_labels,
     synthesize_scene,
 )
-from .errors import GpkError, ParseError
+from .errors import ConfigError, GpkError, ParseError
 from .mapfile import pack_map
 from .maps import build_ground_depth_map, build_global_denorm_map, refine_map
 
@@ -187,11 +187,13 @@ def _map_blobs(frame: FrameRecord, h: int, w: int, stride: int):
     """Serialized (tag, map) pairs plus refinement counters and residual."""
     k = frame.rig.intrinsics.scaled(stride)
     h, w = max(h // stride, 1), max(w // stride, 1)
-    depth = build_ground_depth_map(k, frame.ground, h, w)
-    global_map = build_global_denorm_map(frame.ground, h, w)
+    # Refine first: its rasterizer's temporaries are gone before the
+    # full-size depth and global maps are allocated.
     refined, stats = refine_map(
         frame.ground, [o.box3d for o in frame.objects], k, h, w
     )
+    depth = build_ground_depth_map(k, frame.ground, h, w)
+    global_map = build_global_denorm_map(frame.ground, h, w)
     residual = float(np.mean(np.abs(refined.data - global_map.data)))
     blobs = (
         ("depth", pack_map(depth.depth, depth.valid)),
@@ -207,8 +209,7 @@ def cmd_gen_maps(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     h, w = args.resolution if args.resolution else (512, 928)
     outputs, report = [], []
-    counters = {"frames": len(frames), "insufficient_points": 0,
-                "degenerate_skipped": 0}
+    counters = {"frames": len(frames)}
     results = _per_frame(frames, args.jobs,
                          lambda f: _map_blobs(f, h, w, args.stride))
     for frame, (blobs, stats, residual) in zip(frames, results):
@@ -217,8 +218,8 @@ def cmd_gen_maps(args) -> int:
             path = os.path.join(args.out, f"{tag}_{fid}.gpkm")
             atomic_write(path, blob)
             outputs.append(path)
-        counters["insufficient_points"] += stats["insufficient_points"]
-        counters["degenerate_skipped"] += stats["degenerate_skipped"]
+        for key, value in stats.items():
+            counters[key] = counters.get(key, 0) + value
         report.append(f"{fid},{residual!r},{stats['insufficient_points']},"
                       f"{stats['degenerate_skipped']}")
         log.info("frame %s: refinement residual %.3g", fid, residual)
@@ -526,8 +527,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ParseError("--jobs must be >= 1")
         return args.func(args)
-    except (ParseError, FileNotFoundError, OSError) as exc:
+    except (ParseError, ConfigError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (GpkError, ValueError) as exc:

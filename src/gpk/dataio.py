@@ -215,6 +215,12 @@ class SceneConfig:
             raise ConfigError("frame and object counts must be positive")
         if self.image_height <= 0 or self.image_width <= 0:
             raise ConfigError("image size must be positive")
+        if min(self.image_height, self.image_width) <= 2 * self.edge_margin:
+            # Objects are placed at least edge_margin pixels from every border.
+            raise ConfigError(
+                f"image size {self.image_height}x{self.image_width} must exceed "
+                f"2 * edge_margin = {2 * self.edge_margin:g} pixels per side"
+            )
         if self.focal <= 0:
             raise ConfigError("focal length must be positive")
 

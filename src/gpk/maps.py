@@ -1,8 +1,12 @@
 """Ground-plane representations: depth map, global and refined equation maps.
 
 The refined map follows the annotation-driven pipeline: collect the bottom
-centers of the 3D boxes, triangulate their image projections, fit a plane
-to each triangle's generating 3D points and overwrite the covered pixels.
+centers of the 3D boxes, Delaunay-triangulate their image projections, and
+fit a plane to each triangle's generating 3D points, all triangles at once.
+One scanline rasterizer then writes a triangle-id raster with a
+pixel-center / top-left fill rule; where two triangles claim a pixel, the
+higher triangle index wins. Covered pixels carry their triangle's
+sub-plane and all others the global plane.
 """
 
 from __future__ import annotations
@@ -10,24 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 from .errors import (
     AllDegenerate,
     CollinearPoints,
-    DegeneratePlane,
     DimensionMismatch,
     InsufficientPoints,
-    NonPositiveDepth,
 )
-from .geometry import (
-    _HORIZON_TOL,
-    CameraIntrinsics,
-    GroundPlane,
-    bottom_center,
-    plane_from_three_points,
-    project_point,
-)
+from .geometry import _HORIZON_TOL, CameraIntrinsics, GroundPlane
 
 
 @dataclass
@@ -83,9 +77,11 @@ class TriangleRegion:
                 raise ValueError("plane does not contain its generating points")
 
 
-def _signed_area2(px: np.ndarray) -> float:
-    (x0, y0), (x1, y1), (x2, y2) = px
-    return (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+def _signed_area2(px: np.ndarray):
+    """Twice the signed area of the triangles px[..., 3, 2]."""
+    x, y = px[..., 0], px[..., 1]
+    return ((x[..., 1] - x[..., 0]) * (y[..., 2] - y[..., 0])
+            - (y[..., 1] - y[..., 0]) * (x[..., 2] - x[..., 0]))
 
 
 def build_ground_depth_map(
@@ -121,109 +117,202 @@ def triangulate_ground_points(points, k: CameraIntrinsics):
     Returns (regions, skipped): degenerate triples (collinear in 3D or
     image space, or origin-crossing planes) are dropped and counted.
     """
-    usable = []
-    for p in points:
-        p = np.asarray(p, dtype=float)
-        try:
-            px = project_point(p, k)
-        except NonPositiveDepth:
-            continue
-        usable.append((p, (px.u, px.v)))
-    if len(usable) < 3:
-        raise InsufficientPoints(f"{len(usable)} usable points, need 3")
-
-    pts3d = np.array([p for p, _ in usable])
-    pts2d = np.array([q for _, q in usable])
-
-    if len(usable) == 3:
-        simplices = [np.array([0, 1, 2])]
-    else:
-        try:
-            simplices = list(Delaunay(pts2d).simplices)
-        except QhullError as exc:
-            raise AllDegenerate(f"triangulation failed: {exc}") from None
-
-    regions, skipped = [], 0
-    for tri in simplices:
-        p3 = pts3d[tri]
-        p2 = pts2d[tri]
-        try:
-            plane = plane_from_three_points(p3[0], p3[1], p3[2])
-            regions.append(TriangleRegion(pixels=p2, plane=plane, points3d=p3))
-        except (CollinearPoints, DegeneratePlane):
-            skipped += 1
-    if not regions:
-        raise AllDegenerate("all candidate triangles are degenerate")
+    points = np.asarray(list(points), dtype=float).reshape(-1, 3)
+    points3d, pixels, planes, skipped = _fit_sub_planes(points, k)
+    regions = [
+        TriangleRegion(pixels=px, plane=GroundPlane(*plane.tolist()), points3d=p3)
+        for p3, px, plane in zip(points3d, pixels, planes)
+    ]
     return regions, skipped
 
 
-def _covered_pixels(pixels: np.ndarray, h: int, w: int):
-    """(window, mask) of the pixel centers a triangle covers in an (h, w)
-    map, or None, with a pixel-center / top-left fill rule.
+def _fit_sub_planes(points: np.ndarray, k: CameraIntrinsics):
+    """Delaunay triangles of the projected (n, 3) points and their sub-planes.
 
-    A pixel center on an edge belongs to the triangle iff the edge is a
-    top edge (horizontal, interior below) or a left edge (going up in
-    image coordinates), so adjacent triangles sharing an edge never both
-    claim a pixel.
+    Returns (points3d (T, 3, 3), pixels (T, 3, 2), planes (T, 4), skipped)
+    for the T fitted triangles, in Delaunay order. Every triangle is fitted
+    at once with the expressions of plane_from_three_points and
+    GroundPlane.from_raw, element by element, so each plane equals theirs
+    bit for bit and the same triangles are skipped: collinear or
+    origin-crossing triples, then triangles collinear in image space. A
+    plane that misses one of its points by more than 1e-9 raises ValueError.
     """
-    verts = pixels.copy()
-    if _signed_area2(verts) == 0.0:
-        return None
-    if _signed_area2(verts) < 0:
-        verts = verts[[0, 2, 1]]
+    with np.errstate(all="ignore"):
+        # project_point: z <= 0 is dropped; any other point must land on a
+        # finite pixel.
+        usable = points[~(points[:, 2] <= 0)]
+        pts2d = np.stack([k.fx * usable[:, 0] / usable[:, 2] + k.cx,
+                          k.fy * usable[:, 1] / usable[:, 2] + k.cy], axis=1)
+    if not np.isfinite(pts2d).all():
+        raise ValueError("pixel coordinates must be finite")
+    if len(usable) < 3:
+        raise InsufficientPoints(f"{len(usable)} usable points, need 3")
+    if len(usable) == 3:
+        simplices = np.array([[0, 1, 2]])
+    else:
+        # Imported here: scipy.spatial is most of the time `import gpk`
+        # takes, and only triangulation needs it.
+        from scipy.spatial import Delaunay, QhullError
 
-    lo_x = max(int(np.floor(verts[:, 0].min() - 0.5)), 0)
-    hi_x = min(int(np.ceil(verts[:, 0].max() - 0.5)), w - 1)
-    lo_y = max(int(np.floor(verts[:, 1].min() - 0.5)), 0)
-    hi_y = min(int(np.ceil(verts[:, 1].max() - 0.5)), h - 1)
-    if lo_x > hi_x or lo_y > hi_y:
-        return None
+        try:
+            simplices = Delaunay(pts2d).simplices
+        except QhullError as exc:
+            raise AllDegenerate(f"triangulation failed: {exc}") from None
+    p3, p2 = usable[simplices], pts2d[simplices]
 
-    cx = np.arange(lo_x, hi_x + 1) + 0.5
-    cy = np.arange(lo_y, hi_y + 1) + 0.5
-    px, py = np.meshgrid(cx, cy)
+    with np.errstate(all="ignore"):
+        edges = p3[:, 1:] - p3[:, :1]  # second and third point minus the first
+        (ux, uy, uz), (vx, vy, vz) = edges.transpose(1, 2, 0)
+        x1, y1, z1 = p3[:, 0].T
+        a = uy * vz - vy * uz
+        b = uz * vx - vz * ux
+        c = ux * vy - vx * uy
+        d = -a * x1 - b * y1 - c * z1
+        # float_power is C pow, as Python's ** is; x * x can round differently.
+        sq = np.float_power(edges, 2)
+        e1, e2 = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2]).T
+        norm = np.sqrt(a * a + b * b + c * c)
+        collinear = norm <= 1e-9 * np.maximum(e1 * e2, 1e-300)
+        s = 1.0 / norm
+        s = np.where(d * s < 0, -s, s)
+        planes = np.stack([a * s, b * s, c * s, d * s], axis=1)
+        fitted = ~(collinear | (norm < 1e-300) | ~np.isfinite(norm)
+                   | (planes[:, 3] < 1e-12))
+        sq = np.float_power(planes[:, :3], 2)
+        unit = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+        off = (planes[:, None, 0] * p3[..., 0] + planes[:, None, 1] * p3[..., 1]
+               + planes[:, None, 2] * p3[..., 2] + planes[:, None, 3])
+    invalid = ~np.isfinite(planes).all(axis=1) | (np.abs(unit - 1.0) > 1e-12)
+    if (fitted & invalid).any():
+        raise ValueError("fitted plane is not finite with a unit normal")
+    keep = fitted & (_signed_area2(p2) != 0.0)
+    if (np.abs(off[keep]) > 1e-9).any():
+        raise ValueError("plane does not contain its generating points")
+    if not keep.any():
+        raise AllDegenerate("all candidate triangles are degenerate")
+    return p3[keep], p2[keep], planes[keep], int(keep.size - keep.sum())
 
-    inside = np.ones(px.shape, dtype=bool)
-    for i in range(3):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % 3]
-        e = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        top = by == ay and bx > ax
-        left = by < ay
-        if top or left:
-            inside &= e >= 0
-        else:
-            inside &= e > 0
-    if not inside.any():
-        return None
-    return (slice(lo_y, hi_y + 1), slice(lo_x, hi_x + 1)), inside
+
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + n) for each (s, n)."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def _settle(bound, step, outer, empty, holds):
+    """Move each bound to the last column, going by `step` from `empty`
+    towards `outer`, at which the test `holds(index, column)` passes, or to
+    `empty` if it passes nowhere. The test must be monotone along the row,
+    so the walk ends; bounds that start next to their answer walk little.
+    """
+    idx = np.nonzero(bound != outer)[0]
+    while idx.size:  # grow while the next column passes
+        idx = idx[holds(idx, bound[idx] + step[idx])]
+        bound[idx] += step[idx]
+        idx = idx[bound[idx] != outer[idx]]
+    idx = np.nonzero(bound != empty)[0]
+    while idx.size:  # shrink while this column fails
+        idx = idx[~holds(idx, bound[idx])]
+        bound[idx] -= step[idx]
+        idx = idx[bound[idx] != empty[idx]]
+    return bound
+
+
+def _rasterize(pixels, h: int, w: int) -> np.ndarray:
+    """(h, w) int32 raster of the triangle owning each pixel center, or -1.
+
+    `pixels` holds (T, 3, 2) image-space vertices (u, v). A pixel center
+    (col + 0.5, row + 0.5) belongs to a triangle iff it passes the three
+    edge functions of the counter-clockwise-ordered vertices, and a center
+    on an edge belongs to it iff the edge is a top edge (horizontal,
+    interior below) or a left edge (going up in image coordinates), so
+    adjacent triangles sharing an edge never both claim a pixel. Where two
+    triangles still claim a pixel, the higher triangle index wins.
+
+    Scanline form: an edge function is monotone along a row, so each
+    (triangle, row) owns one column interval. Each edge's end of it is
+    estimated from where the edge crosses the row, then moved until the
+    exact edge test agrees on both sides of it.
+    """
+    pixels = np.asarray(pixels, dtype=float).reshape(-1, 3, 2)
+    area = _signed_area2(pixels)
+    verts = np.where((area < 0)[:, None, None], pixels[:, [0, 2, 1]], pixels)
+    # Bounding box of pixel indices, (T, 2) as (col, row).
+    lo = np.maximum(np.floor(verts.min(axis=1) - 0.5), 0)
+    hi = np.minimum(np.ceil(verts.max(axis=1) - 0.5), [w - 1, h - 1])
+    live = np.nonzero((area != 0) & (lo <= hi).all(axis=1))[0].astype(np.int32)
+    lo, hi = lo[live].astype(np.int64), hi[live].astype(np.int64)
+
+    n_rows = hi[:, 1] - lo[:, 1] + 1
+    tri = np.repeat(live, n_rows)  # one entry per (triangle, row)
+    row = _runs(lo[:, 1], n_rows)
+    first, last = np.repeat(lo[:, 0], n_rows), np.repeat(hi[:, 0], n_rows)
+    start, stop = first.copy(), last.copy()
+
+    a = verts[tri]
+    b = np.roll(a, -1, axis=1)  # edge i runs from vertex i to vertex i + 1
+    ax, ay, bx, by = a[..., 0].T, a[..., 1].T, b[..., 0].T, b[..., 1].T
+    rise = by - ay
+    base = (bx - ax) * (row + 0.5 - ay)
+    inclusive = ((rise == 0) & (bx > ax)) | (rise < 0)
+
+    def passes(edge, sel, col):
+        e = base[edge, sel] - rise[edge, sel] * ((col + 0.5) - ax[edge, sel])
+        return np.where(inclusive[edge, sel], e >= 0, e > 0)
+
+    for edge in range(3):
+        flat = np.nonzero(rise[edge] == 0)[0]  # the test is constant along the row
+        shut = flat[~passes(edge, flat, first[flat])]
+        stop[shut] = first[shut] - 1
+        sel = np.nonzero(rise[edge] != 0)[0]
+        up = rise[edge, sel] > 0  # e falls along the row: an upper end
+        step = np.where(up, 1, -1)
+        outer = np.where(up, last[sel], first[sel])
+        empty = np.where(up, first[sel] - 1, last[sel] + 1)
+        with np.errstate(all="ignore"):
+            cross = ax[edge, sel] + base[edge, sel] / rise[edge, sel] - 0.5
+        guess = np.where(up, np.floor(cross), np.ceil(cross))
+        guess = np.fmin(np.fmax(guess, np.minimum(outer, empty)),
+                        np.maximum(outer, empty))
+        bound = _settle(guess.astype(np.int64), step, outer, empty,
+                        lambda j, col: passes(edge, sel[j], col))
+        stop[sel[up]] = np.minimum(stop[sel[up]], bound[up])
+        start[sel[~up]] = np.maximum(start[sel[~up]], bound[~up])
+
+    owned = start <= stop
+    n_cols = (stop - start + 1)[owned]
+    tri_id = np.full(h * w, -1, dtype=np.int32)
+    np.maximum.at(tri_id, _runs(row[owned] * w + start[owned], n_cols),
+                  np.repeat(tri[owned], n_cols))
+    return tri_id.reshape(h, w)
 
 
 def refine_map(g_initial: GroundPlane, boxes, k: CameraIntrinsics, h: int, w: int):
-    """Refined map plus counters {'insufficient_points', 'degenerate_skipped'}.
+    """Refined map plus counters {'insufficient_points', 'degenerate_skipped',
+    'triangles', 'covered_pixels'}.
 
-    With fewer than three usable bottom centers the result equals the
-    global map.
+    Each pixel a fitted triangle covers carries that triangle's sub-plane;
+    every other pixel carries the global plane. With fewer than three
+    usable bottom centers the result equals the global map.
     """
+    if h <= 0 or w <= 0:
+        raise DimensionMismatch("map dimensions must be positive")
     stats = {"insufficient_points": 0, "degenerate_skipped": 0}
-    m = build_global_denorm_map(g_initial, h, w)
-    points = [bottom_center(b, g_initial) for b in boxes]
+    pixels, planes = np.empty((0, 3, 2)), np.empty((0, 4))
+    rows = np.array([(b.x, b.y, b.z, b.h) for b in boxes], float).reshape(-1, 4)
+    points = rows[:, :3] - (0.5 * rows[:, 3:]) * g_initial.normal  # bottom_center
     try:
-        regions, skipped = triangulate_ground_points(points, k)
+        _, pixels, planes, stats["degenerate_skipped"] = _fit_sub_planes(points, k)
     except InsufficientPoints:
         stats["insufficient_points"] = 1
-        return m, stats
     except AllDegenerate:
         stats["degenerate_skipped"] = len(points)
-        return m, stats
-    stats["degenerate_skipped"] = skipped
-    for tri in regions:
-        cov = _covered_pixels(tri.pixels, h, w)
-        if cov is None:
-            continue
-        window, inside = cov
-        m.data[window][inside] = tri.plane.params()
-    return m, stats
+    tri_id = _rasterize(pixels, h, w)
+    stats["triangles"] = len(planes)
+    stats["covered_pixels"] = int(np.count_nonzero(tri_id >= 0))
+    table = np.vstack([planes, g_initial.params()])  # tri_id -1: the last row
+    return DenormMap(data=np.take(table, tri_id, axis=0)), stats
 
 
 def denorm_l1_loss(pred: DenormMap, label: DenormMap) -> float:

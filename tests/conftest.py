@@ -1,5 +1,12 @@
 import sys
 
+from hypothesis import settings
+
+# No per-example deadline and a bounded example count: the suite runs on
+# small shared hosts where one slow example must not fail a property.
+settings.register_profile("gpk", deadline=None, max_examples=60)
+settings.load_profile("gpk")
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the one-line-per-criterion acceptance results into the

@@ -62,7 +62,7 @@ from gpk.maps import (
     DenormMap,
     GroundDepthMap,
     TriangleRegion,
-    _covered_pixels,
+    _rasterize,
     build_global_denorm_map,
     denorm_l1_loss,
     refine_map,
@@ -203,11 +203,7 @@ def test_04_rasterization_oracle():
             tri = TriangleRegion(pixels=verts, plane=tri_plane, points3d=pts3d)
         except CollinearPoints:
             continue
-        got = np.zeros((128, 128), dtype=bool)
-        cov = _covered_pixels(tri.pixels, 128, 128)
-        if cov is not None:
-            window, inside = cov
-            got[window] = inside
+        got = _rasterize(tri.pixels[None], 128, 128) == 0
         want = edge_oracle(verts, 128, 128)
         discrepancies += int(np.count_nonzero(got != want))
         tested += 1

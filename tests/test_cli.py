@@ -3,10 +3,15 @@ byte-reproducibility across seeds and job counts."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gpk
 from gpk.cli import main
+from gpk.dataio import SceneConfig, synthesize_scene
+from gpk.maps import refine_map
 
 SMALL = ["--frames", "3", "--resolution", "64x116"]
 
@@ -81,6 +86,37 @@ class TestGenMaps:
             "--resolution", "32x58",
         ])
         assert code == 1
+
+    def test_manifest_sums_refinement_counters(self, tmp_path):
+        out = tmp_path / "maps"
+        assert run(["gen-maps", "--out", str(out), "--seed", "1",
+                    "--stride", "16"] + SMALL) == 0
+        want = dict.fromkeys(("insufficient_points", "degenerate_skipped",
+                              "triangles", "covered_pixels"), 0)
+        cfg = SceneConfig(seed=1, n_frames=3, image_height=64, image_width=116)
+        for frame in synthesize_scene(cfg):
+            _, stats = refine_map(frame.ground, [o.box3d for o in frame.objects],
+                                  frame.rig.intrinsics.scaled(16), 4, 7)
+            for key in want:
+                want[key] += stats[key]
+        counters = json.loads((out / "manifest.json").read_text())["counters"]
+        assert counters == {"frames": 3, **want}
+        assert want["triangles"] > 0 and want["covered_pixels"] > 0
+        header = (out / "report.csv").read_text().split("\n")[0]
+        assert header == ("frame_id,refined_vs_global_l1,insufficient_points,"
+                          "degenerate_skipped")
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exit_1(self, tmp_path, capsys, jobs):
+        out = tmp_path / "maps"
+        assert run(["gen-maps", "--out", str(out), "--jobs", jobs] + SMALL) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_image_below_edge_margins_exit_1(self, tmp_path, capsys):
+        assert run(["gen-maps", "--out", str(tmp_path / "maps"),
+                    "--frames", "1", "--resolution", "8x8"]) == 1
+        assert "2 * edge_margin = 32" in capsys.readouterr().err
 
     def test_missing_input_file_exit_1(self, tmp_path):
         code = run([
@@ -221,3 +257,21 @@ class TestCheckAttn:
         assert run(["check-attn", "--seed", "5", "--out", str(out)]) == 0
         fixture = json.loads((out / "attention_fixture.json").read_text())
         assert set(fixture["digests"]) == {"queries_out", "ground_attention"}
+
+
+class TestImportCost:
+    def test_scipy_spatial_not_loaded_by_import_or_synth(self, tmp_path):
+        # scipy.spatial is most of `import gpk`'s time; only triangulation
+        # should load it.
+        script = (
+            "import sys, gpk\n"
+            "from gpk.cli import main\n"
+            "assert 'scipy.spatial' not in sys.modules, 'import gpk'\n"
+            f"assert main(['synth', '--out', {str(tmp_path)!r}, '--frames', '2']) == 0\n"
+            "assert 'scipy.spatial' not in sys.modules, 'gpk synth'\n"
+        )
+        src = os.path.dirname(os.path.dirname(gpk.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

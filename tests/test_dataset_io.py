@@ -146,6 +146,11 @@ class TestSceneConfig:
         with pytest.raises(ConfigError):
             SceneConfig(n_frames=0)
 
+    @pytest.mark.parametrize("h,w", [(8, 8), (32, 928), (512, 32)])
+    def test_image_must_exceed_edge_margins(self, h, w):
+        with pytest.raises(ConfigError, match="edge_margin"):
+            SceneConfig(image_height=h, image_width=w)
+
 
 class TestSynthesis:
     CFG = SceneConfig(seed=42, n_frames=4, objects_per_frame=8)

@@ -34,8 +34,8 @@ from gpk.maps import (
     DenormMap,
     GroundDepthMap,
     TriangleRegion,
+    _rasterize,
     build_global_denorm_map,
-    _covered_pixels,
     build_ground_depth_map,
     denorm_l1_loss,
     refine_map,
@@ -72,13 +72,8 @@ def barycentric_oracle(verts: np.ndarray, h: int, w: int) -> np.ndarray:
 
 
 def covered_mask(pixels, h: int, w: int) -> np.ndarray:
-    """_covered_pixels' window + mask expanded to an (h, w) bool map."""
-    out = np.zeros((h, w), dtype=bool)
-    cov = _covered_pixels(pixels, h, w)
-    if cov is not None:
-        window, inside = cov
-        out[window] = inside
-    return out
+    """The pixels the rasterizer gives one triangle, as an (h, w) bool map."""
+    return _rasterize(np.asarray(pixels, float)[None], h, w) == 0
 
 
 def make_region(pixels) -> TriangleRegion:
@@ -180,7 +175,7 @@ class TestRasterization:
 
     def test_offmap_triangle_writes_nothing(self):
         tri = make_region([[100.0, 100.0], [110.0, 100.0], [105.0, 110.0]])
-        assert _covered_pixels(tri.pixels, 16, 16) is None
+        assert (_rasterize(tri.pixels[None], 16, 16) == -1).all()
 
 
 class TestRefinement:
@@ -232,7 +227,8 @@ class TestRefinement:
         want = barycentric_oracle(verts, 64, 116)
         assert want.sum() > 20
         m, stats = refine_map(FLAT, boxes, self.K8, 64, 116)
-        assert stats == {"insufficient_points": 0, "degenerate_skipped": 0}
+        assert stats == {"insufficient_points": 0, "degenerate_skipped": 0,
+                         "triangles": 1, "covered_pixels": int(want.sum())}
         changed = np.any(m.data != FLAT.params(), axis=2)
         assert np.array_equal(changed, want)
         sub_plane = plane_from_three_points(*points).params()
