@@ -16,7 +16,7 @@ from .geometry import (
     plane_to_attitude,
     project_point,
 )
-from .maps import DenormMap, refine_map
+from .maps import refine_map
 
 QUANTITIES = ("depth", "roll", "pitch")
 
@@ -36,8 +36,11 @@ class Histogram:
         return int(self.counts.sum()) + self.underflow + self.overflow
 
     @classmethod
-    def from_values(cls, values, bins: int, lo=None, hi=None) -> "Histogram":
+    def from_values(cls, values, bins: int, lo=None, hi=None,
+                    weights=None) -> "Histogram":
+        """`weights`: positive integer counts, each value counted that often."""
         values = np.asarray(list(values), dtype=float)
+        n = np.ones(values.size, int) if weights is None else np.asarray(weights)
         if values.size == 0:
             raise EmptyInput("no values to histogram")
         if lo is None:
@@ -48,13 +51,13 @@ class Histogram:
             hi = lo + 1.0  # all-equal samples: one occupied bin
         edges = np.linspace(lo, hi, bins + 1)
         inside = (values >= lo) & (values <= hi)
-        counts, _ = np.histogram(values[inside], bins=edges)
+        counts, _ = np.histogram(values[inside], bins=edges, weights=n[inside])
         return cls(
             edges=edges,
             counts=counts,
-            underflow=int((values < lo).sum()),
-            overflow=int((values > hi).sum()),
-            mean=float(values.mean()),
+            underflow=int(n[values < lo].sum()),
+            overflow=int(n[values > hi].sum()),
+            mean=float(np.average(values, weights=n)),
         )
 
     def occupied_support(self):
@@ -115,22 +118,19 @@ def _object_ground_depths(frame):
     return out
 
 
-def depth_histogram(frames, bins: int, lo=None, hi=None) -> Histogram:
+def depth_histogram(frames, bins: int) -> Histogram:
     """Histogram of per-object ground depths at annotated bottom centers."""
     depths = []
     for f in frames:
         depths.extend(_object_ground_depths(f))
     if not depths:
         raise EmptyInput("no annotated boxes")
-    return Histogram.from_values(depths, bins, lo, hi)
+    return Histogram.from_values(depths, bins)
 
 
-def map_attitudes(m: DenormMap):
-    """Vectorized per-pixel (roll, pitch, height) from a denorm map."""
-    a = m.data[..., 0]
-    b = m.data[..., 1]
-    c = m.data[..., 2]
-    d = m.data[..., 3]
+def map_attitudes(planes):
+    """Vectorized (roll, pitch, height) of a (..., 4) plane array."""
+    a, b, c, d = np.moveaxis(np.asarray(planes), -1, 0)
     s = np.where(b > 0, -1.0, 1.0)
     pitch = np.arcsin(np.clip(-c * s, -1.0, 1.0))
     roll = np.arctan2(a * s, -b * s)
@@ -141,36 +141,29 @@ def attitude_histograms(frames, bins: int, stride: int = 16):
     """(roll, pitch, height) histograms with one sample per refined-map pixel.
 
     Maps are built at 1/stride resolution of each frame's image, matching
-    the predictor's feature stride.
+    the predictor's feature stride. Each plane a map uses is one sample
+    weighted by its pixel count, so memory does not grow with the pixels.
     """
     frames = list(frames)
     if not frames:
         raise EmptyInput("no frames")
-    rolls, pitches, heights = [], [], []
+    used, counts = [], []
     for f in frames:
         k = f.rig.intrinsics
         h = max(int(round(2 * k.cy)) // stride, 1)
         w = max(int(round(2 * k.cx)) // stride, 1)
-        m, _ = refine_map(
+        planes, tri_id, _ = refine_map(
             f.ground, [o.box3d for o in f.objects], k.scaled(stride), h, w
         )
-        r, p, d = map_attitudes(m)
-        rolls.append(r.reshape(-1))
-        pitches.append(p.reshape(-1))
-        heights.append(d.reshape(-1))
-    return (
-        Histogram.from_values(np.concatenate(rolls), bins),
-        Histogram.from_values(np.concatenate(pitches), bins),
-        Histogram.from_values(np.concatenate(heights), bins),
-    )
+        ids, n = np.unique(tri_id, return_counts=True)
+        used.append(planes[ids])
+        counts.append(n)
+    n = np.concatenate(counts)
+    return tuple(Histogram.from_values(q, bins, weights=n)
+                 for q in map_attitudes(np.concatenate(used)))
 
 
-def v_correlation_series(
-    frames,
-    quantity: str,
-    perturb=None,
-    clip_to_image: bool = True,
-) -> ScatterSeries:
+def v_correlation_series(frames, quantity: str, perturb=None) -> ScatterSeries:
     """(projected bottom-center v, quantity) per annotated object.
 
     Values come from the frame record: the object's camera-frame depth,
@@ -209,7 +202,7 @@ def v_correlation_series(
             if p[2] <= 0:
                 continue
             px = project_point(p, k)
-            if clip_to_image and not (0.0 <= px.v < img_h):
+            if not (0.0 <= px.v < img_h):
                 continue
             if quantity == "depth":
                 value = float(p[2])
@@ -231,8 +224,8 @@ def v_correlation_series(
     )
 
 
-def overlap_coefficient(a: ScatterSeries, b: ScatterSeries, bins: int = 32) -> float:
-    """Normalized 2D histogram intersection over (v, value) joint support."""
+def overlap_coefficient(a: ScatterSeries, b: ScatterSeries) -> float:
+    """Normalized 32 x 32 histogram intersection over (v, value) joint support."""
     if a.quantity != b.quantity:
         raise QuantityMismatch(f"{a.quantity} vs {b.quantity}")
     if a.v.size == 0 or b.v.size == 0:
@@ -245,8 +238,8 @@ def overlap_coefficient(a: ScatterSeries, b: ScatterSeries, bins: int = 32) -> f
         v_hi = v_lo + 1.0
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
-    v_edges = np.linspace(v_lo, v_hi, bins + 1)
-    x_edges = np.linspace(x_lo, x_hi, bins + 1)
+    v_edges = np.linspace(v_lo, v_hi, 33)
+    x_edges = np.linspace(x_lo, x_hi, 33)
     ha, _, _ = np.histogram2d(a.v, a.values, bins=[v_edges, x_edges])
     hb, _, _ = np.histogram2d(b.v, b.values, bins=[v_edges, x_edges])
     ha /= ha.sum()

@@ -35,7 +35,7 @@ from .dataio import (
 )
 from .errors import ConfigError, GpkError, ParseError
 from .mapfile import pack_map
-from .maps import build_ground_depth_map, build_global_denorm_map, refine_map
+from .maps import build_ground_depth_map, refine_map
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -187,18 +187,17 @@ def _map_blobs(frame: FrameRecord, h: int, w: int, stride: int):
     """Serialized (tag, map) pairs plus refinement counters and residual."""
     k = frame.rig.intrinsics.scaled(stride)
     h, w = max(h // stride, 1), max(w // stride, 1)
-    # Refine first: its rasterizer's temporaries are gone before the
-    # full-size depth and global maps are allocated.
-    refined, stats = refine_map(
+    # Refine first, so the rasterizer's temporaries are gone before any
+    # full-size map exists; each dense map lives only while it is packed.
+    planes, tri_id, stats = refine_map(
         frame.ground, [o.box3d for o in frame.objects], k, h, w
     )
+    residual = float(np.mean(np.abs(np.take(planes - planes[-1], tri_id, axis=0))))
     depth = build_ground_depth_map(k, frame.ground, h, w)
-    global_map = build_global_denorm_map(frame.ground, h, w)
-    residual = float(np.mean(np.abs(refined.data - global_map.data)))
     blobs = (
         ("depth", pack_map(depth.depth, depth.valid)),
-        ("global", pack_map(global_map.data)),
-        ("refined", pack_map(refined.data)),
+        ("global", pack_map(np.broadcast_to(planes[-1], (h, w, 4)))),
+        ("refined", pack_map(np.take(planes, tri_id, axis=0))),
     )
     return blobs, stats, residual
 
@@ -287,6 +286,8 @@ def cmd_perturb(args) -> int:
 
 def cmd_stats(args) -> int:
     t0 = time.monotonic()
+    if args.bins < 1:
+        raise ParseError("--bins must be >= 1")
     frames, inputs = _frames_from_args(args)
     os.makedirs(args.out, exist_ok=True)
     depth_hist = analysis.depth_histogram(frames, args.bins)
@@ -457,13 +458,17 @@ def _effective_cfg(args) -> dict:
     return cfg
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error: exit 1, not 2
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(p, with_inputs=True):
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="master RNG seed")
     p.add_argument("--config", default=None,
                    help="key=value config file (flags win)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="frame-level worker threads")
     p.add_argument("--frames", type=int, default=None,
                    help="synthetic frame count")
     if with_inputs:
@@ -473,7 +478,7 @@ def _add_common(p, with_inputs=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gpk",
         description="Ground-plane prior toolkit for roadside monocular "
         "3D detection.",
@@ -482,6 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-maps", help="write depth/global/refined maps")
     _add_common(p)
+    p.add_argument("--jobs", type=int, default=1, help="frame worker threads")
     p.add_argument("--resolution", type=_parse_resolution, default=None,
                    help="map size HxW (default 512x928)")
     p.add_argument("--stride", type=int, choices=(1, 16), default=1)
@@ -504,6 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="write synthetic label/calib/denorm files")
     _add_common(p, with_inputs=False)
+    p.add_argument("--jobs", type=int, default=1, help="frame worker threads")
     p.add_argument("--resolution", type=_parse_resolution, default=None)
     p.set_defaults(func=cmd_synth)
 

@@ -5,8 +5,10 @@ centers of the 3D boxes, Delaunay-triangulate their image projections, and
 fit a plane to each triangle's generating 3D points, all triangles at once.
 One scanline rasterizer then writes a triangle-id raster with a
 pixel-center / top-left fill rule; where two triangles claim a pixel, the
-higher triangle index wins. Covered pixels carry their triangle's
-sub-plane and all others the global plane.
+higher triangle index wins. The map stays piecewise planar: refine_map
+returns the plane table (sub-planes, then the global plane) and the
+raster, and `planes[tri_id]` is the dense map, since id -1 (no triangle)
+selects the global plane in the last row.
 """
 
 from __future__ import annotations
@@ -31,28 +33,12 @@ class GroundDepthMap:
     depth: np.ndarray  # (h, w) float64, meters; undefined where invalid
     valid: np.ndarray  # (h, w) bool
 
-    @property
-    def height(self) -> int:
-        return self.depth.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.depth.shape[1]
-
 
 @dataclass
 class DenormMap:
     """Per-pixel plane equation map, channels (alpha, beta, gamma, d)."""
 
     data: np.ndarray  # (h, w, 4) float64
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
 
     def plane_at(self, row: int, col: int) -> GroundPlane:
         a, b, c, d = self.data[row, col]
@@ -130,21 +116,19 @@ def _fit_sub_planes(points: np.ndarray, k: CameraIntrinsics):
     """Delaunay triangles of the projected (n, 3) points and their sub-planes.
 
     Returns (points3d (T, 3, 3), pixels (T, 3, 2), planes (T, 4), skipped)
-    for the T fitted triangles, in Delaunay order. Every triangle is fitted
+    for the T fitted triangles, in Delaunay order. Points at z <= 0 or
+    projecting to a non-finite pixel are dropped. Every triangle is fitted
     at once with the expressions of plane_from_three_points and
     GroundPlane.from_raw, element by element, so each plane equals theirs
-    bit for bit and the same triangles are skipped: collinear or
-    origin-crossing triples, then triangles collinear in image space. A
-    plane that misses one of its points by more than 1e-9 raises ValueError.
+    bit for bit. Skipped and counted: collinear or origin-crossing triples,
+    triangles collinear in image space, and planes that miss one of their
+    generating points by more than 1e-9 (nearly collinear triples).
     """
     with np.errstate(all="ignore"):
-        # project_point: z <= 0 is dropped; any other point must land on a
-        # finite pixel.
-        usable = points[~(points[:, 2] <= 0)]
-        pts2d = np.stack([k.fx * usable[:, 0] / usable[:, 2] + k.cx,
-                          k.fy * usable[:, 1] / usable[:, 2] + k.cy], axis=1)
-    if not np.isfinite(pts2d).all():
-        raise ValueError("pixel coordinates must be finite")
+        pts2d = np.stack([k.fx * points[:, 0] / points[:, 2] + k.cx,
+                          k.fy * points[:, 1] / points[:, 2] + k.cy], axis=1)
+    seen = (points[:, 2] > 0) & np.isfinite(pts2d).all(axis=1)
+    usable, pts2d = points[seen], pts2d[seen]
     if len(usable) < 3:
         raise InsufficientPoints(f"{len(usable)} usable points, need 3")
     if len(usable) == 3:
@@ -185,9 +169,7 @@ def _fit_sub_planes(points: np.ndarray, k: CameraIntrinsics):
     invalid = ~np.isfinite(planes).all(axis=1) | (np.abs(unit - 1.0) > 1e-12)
     if (fitted & invalid).any():
         raise ValueError("fitted plane is not finite with a unit normal")
-    keep = fitted & (_signed_area2(p2) != 0.0)
-    if (np.abs(off[keep]) > 1e-9).any():
-        raise ValueError("plane does not contain its generating points")
+    keep = fitted & (_signed_area2(p2) != 0.0) & (np.abs(off) <= 1e-9).all(axis=1)
     if not keep.any():
         raise AllDegenerate("all candidate triangles are degenerate")
     return p3[keep], p2[keep], planes[keep], int(keep.size - keep.sum())
@@ -289,12 +271,14 @@ def _rasterize(pixels, h: int, w: int) -> np.ndarray:
 
 
 def refine_map(g_initial: GroundPlane, boxes, k: CameraIntrinsics, h: int, w: int):
-    """Refined map plus counters {'insufficient_points', 'degenerate_skipped',
-    'triangles', 'covered_pixels'}.
+    """(planes, tri_id, stats) of the refined map.
 
-    Each pixel a fitted triangle covers carries that triangle's sub-plane;
-    every other pixel carries the global plane. With fewer than three
-    usable bottom centers the result equals the global map.
+    `planes` is the (T + 1, 4) table of the T fitted sub-planes followed by
+    the global plane; `tri_id` is the (h, w) int32 raster of the sub-plane
+    owning each pixel, or -1 (the global plane). `planes[tri_id]` is the
+    dense (h, w, 4) map. `stats` counts {'insufficient_points',
+    'degenerate_skipped', 'triangles', 'covered_pixels'}. With fewer than
+    three usable bottom centers no pixel is covered.
     """
     if h <= 0 or w <= 0:
         raise DimensionMismatch("map dimensions must be positive")
@@ -311,8 +295,7 @@ def refine_map(g_initial: GroundPlane, boxes, k: CameraIntrinsics, h: int, w: in
     tri_id = _rasterize(pixels, h, w)
     stats["triangles"] = len(planes)
     stats["covered_pixels"] = int(np.count_nonzero(tri_id >= 0))
-    table = np.vstack([planes, g_initial.params()])  # tri_id -1: the last row
-    return DenormMap(data=np.take(table, tri_id, axis=0)), stats
+    return np.vstack([planes, g_initial.params()]), tri_id, stats
 
 
 def denorm_l1_loss(pred: DenormMap, label: DenormMap) -> float:

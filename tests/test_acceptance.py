@@ -222,7 +222,8 @@ def test_05_refinement_fixed_point():
         c = np.array([x, y, z]) + 0.5 * h * g.normal
         boxes.append(BBox3D(x=c[0], y=c[1], z=c[2], l=4.3, w=1.8, h=h, theta=0.2))
     k = CameraIntrinsics(fx=62.5, fy=62.5, cx=29.0, cy=16.0)  # stride 16
-    refined = refine_map(g, boxes, k, 32, 58)[0]
+    planes, tri_id, _ = refine_map(g, boxes, k, 32, 58)
+    refined = DenormMap(planes[tri_id])
     loss = denorm_l1_loss(refined, build_global_denorm_map(g, 32, 58))
     report(5, "refinement is a fixed point on flat ground", loss < 1e-9,
            f"L1 {loss:.2e}")

@@ -16,13 +16,27 @@ from gpk.analysis import (
 from gpk.dataio import SceneConfig, synthesize_scene
 from gpk.errors import EmptyInput, QuantityMismatch
 from gpk.geometry import CameraAttitude, attitude_to_plane, plane_to_attitude
-from gpk.maps import build_global_denorm_map
+from gpk.maps import build_global_denorm_map, refine_map
 
 
 def perturbation_pairs(n, sigma, seed):
     rng = np.random.default_rng(seed)
     draws = np.clip(rng.normal(0, sigma, (n, 2)), -3 * sigma, 3 * sigma)
     return [tuple(row) for row in draws]
+
+
+def dense_attitude_histograms(frames, bins, stride):
+    """One unweighted sample per pixel of each frame's dense refined map."""
+    samples = ([], [], [])
+    for f in frames:
+        k = f.rig.intrinsics
+        h = max(int(round(2 * k.cy)) // stride, 1)
+        w = max(int(round(2 * k.cx)) // stride, 1)
+        planes, tri_id, _ = refine_map(f.ground, [o.box3d for o in f.objects],
+                                       k.scaled(stride), h, w)
+        for out, q in zip(samples, map_attitudes(planes[tri_id])):
+            out.append(q.reshape(-1))
+    return [Histogram.from_values(np.concatenate(s), bins) for s in samples]
 
 
 class TestHistogram:
@@ -49,6 +63,17 @@ class TestHistogram:
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             Histogram.from_values([], bins=4)
+
+    @pytest.mark.parametrize("lo,hi", [(None, None), (-0.5, 0.5)])
+    def test_weights_count_repeated_values(self, lo, hi):
+        rng = np.random.default_rng(3)
+        v, n = rng.normal(size=40), rng.integers(1, 50, size=40)
+        got = Histogram.from_values(v, 8, lo, hi, weights=n)
+        want = Histogram.from_values(np.repeat(v, n), 8, lo, hi)
+        assert np.array_equal(got.edges, want.edges)
+        assert np.array_equal(got.counts, want.counts)
+        assert (got.underflow, got.overflow) == (want.underflow, want.overflow)
+        assert got.mean == pytest.approx(want.mean, rel=1e-12)
 
     def test_csv_schema(self):
         h = Histogram.from_values([1.0, 2.0], bins=2)
@@ -83,10 +108,22 @@ class TestAttitudeHistograms:
         bin_w = pitch_hist.edges[1] - pitch_hist.edges[0]
         assert hi - lo <= 0.1 + 2 * bin_w
 
+    @pytest.mark.parametrize("stride", [1, 16])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_equals_dense_per_pixel_reference(self, seed, stride):
+        frames = synthesize_scene(SceneConfig(seed=seed, n_frames=3))
+        got = attitude_histograms(frames, bins=64, stride=stride)
+        want = dense_attitude_histograms(frames, 64, stride)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.edges, w.edges)
+            assert np.array_equal(g.counts, w.counts)
+            assert (g.underflow, g.overflow) == (w.underflow, w.overflow)
+            assert g.mean == pytest.approx(w.mean, rel=1e-12)
+
     def test_map_attitudes_inverts_plane(self):
         att = CameraAttitude(roll=0.04, pitch=0.19, height=6.5)
         m = build_global_denorm_map(attitude_to_plane(att), 4, 5)
-        roll, pitch, height = map_attitudes(m)
+        roll, pitch, height = map_attitudes(m.data)
         assert np.allclose(roll, att.roll, atol=1e-12)
         assert np.allclose(pitch, att.pitch, atol=1e-12)
         assert np.allclose(height, att.height, atol=1e-12)

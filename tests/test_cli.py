@@ -20,6 +20,14 @@ def run(args):
     return main(args)
 
 
+def usage_exit_code(args, capsys):
+    """Exit code of an argparse usage error, which ends the run."""
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert "usage: gpk" in capsys.readouterr().err
+    return exc.value.code
+
+
 def dir_bytes(path, skip=("manifest.json",)):
     out = {}
     for name in sorted(os.listdir(path)):
@@ -95,8 +103,8 @@ class TestGenMaps:
                               "triangles", "covered_pixels"), 0)
         cfg = SceneConfig(seed=1, n_frames=3, image_height=64, image_width=116)
         for frame in synthesize_scene(cfg):
-            _, stats = refine_map(frame.ground, [o.box3d for o in frame.objects],
-                                  frame.rig.intrinsics.scaled(16), 4, 7)
+            _, _, stats = refine_map(frame.ground, [o.box3d for o in frame.objects],
+                                     frame.rig.intrinsics.scaled(16), 4, 7)
             for key in want:
                 want[key] += stats[key]
         counters = json.loads((out / "manifest.json").read_text())["counters"]
@@ -117,6 +125,17 @@ class TestGenMaps:
         assert run(["gen-maps", "--out", str(tmp_path / "maps"),
                     "--frames", "1", "--resolution", "8x8"]) == 1
         assert "2 * edge_margin = 32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--stride", "4"], ["--resolution", "abc"]],
+                             ids=["stride-4", "resolution-abc"])
+    def test_usage_error_exit_1(self, tmp_path, capsys, flags):
+        out = tmp_path / "maps"
+        assert usage_exit_code(["gen-maps", "--out", str(out)] + flags,
+                               capsys) == 1
+        assert not out.exists()
+
+    def test_unknown_subcommand_exit_1(self, capsys):
+        assert usage_exit_code(["no-such-command"], capsys) == 1
 
     def test_missing_input_file_exit_1(self, tmp_path):
         code = run([
@@ -176,6 +195,42 @@ class TestStats:
             fine = (tmp_path / "1" / f"hist_{name}.csv").read_text()
             coarse = (tmp_path / "16" / f"hist_{name}.csv").read_text()
             assert fine != coarse, name
+
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_bins_below_one_exit_1(self, tmp_path, capsys, bins):
+        out = tmp_path / "s"
+        assert run(["stats", "--out", str(out), "--bins", bins] + SMALL) == 1
+        assert "--bins must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stride_1_memory_does_not_grow_with_pixels(self, tmp_path):
+        # Each used plane is one weighted sample; holding every pixel's
+        # roll/pitch/height took ~364 MB here. A child's ru_maxrss includes
+        # the RSS of the process it was forked from, so the CLI is started
+        # from a small intermediate interpreter, not from the test process.
+        script = (
+            "import os, subprocess, sys\n"
+            "proc = subprocess.Popen([sys.executable, '-m', 'gpk.cli']"
+            " + sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        src = os.path.dirname(os.path.dirname(gpk.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "stats", "--out", str(tmp_path / "s"),
+             "--frames", "6", "--stride", "1"],
+            env=env, capture_output=True, text=True, timeout=300)
+        code, maxrss_kib = map(int, proc.stdout.split())
+        assert code == 0, proc.stderr
+        assert maxrss_kib < 200 * 1024
+
+
+@pytest.mark.parametrize("command", ["perturb", "stats"])
+def test_jobs_only_where_a_pool_runs(tmp_path, capsys, command):
+    assert usage_exit_code([command, "--out", str(tmp_path / "o"),
+                            "--jobs", "2"] + SMALL, capsys) == 1
 
 
 class TestSynth:

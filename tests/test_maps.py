@@ -198,11 +198,14 @@ class TestRefinement:
     def test_flat_ground_is_fixed_point(self):
         g = attitude_to_plane(CameraAttitude(roll=0.01, pitch=0.18, height=6.0))
         boxes = self.boxes_on(g)
-        refined = refine_map(g, boxes, self.K8, 64, 116)[0]
+        planes, tri_id, _ = refine_map(g, boxes, self.K8, 64, 116)
+        refined = DenormMap(planes[tri_id])
         assert denorm_l1_loss(refined, build_global_denorm_map(g, 64, 116)) < 1e-9
 
     def test_too_few_boxes_returns_global(self):
-        m, stats = refine_map(FLAT, self.boxes_on(FLAT, n=2), self.K8, 32, 58)
+        planes, tri_id, stats = refine_map(FLAT, self.boxes_on(FLAT, n=2),
+                                           self.K8, 32, 58)
+        m = DenormMap(planes[tri_id])
         assert stats["insufficient_points"] == 1
         assert np.array_equal(m.data, build_global_denorm_map(FLAT, 32, 58).data)
 
@@ -211,7 +214,8 @@ class TestRefinement:
         # refined map must differ from the global map inside the hull.
         g2 = attitude_to_plane(CameraAttitude(roll=0.0, pitch=0.21, height=6.0))
         boxes = self.boxes_on(g2, n=15, seed=3)
-        m, stats = refine_map(FLAT, boxes, self.K8, 64, 116)
+        planes, tri_id, stats = refine_map(FLAT, boxes, self.K8, 64, 116)
+        m = DenormMap(planes[tri_id])
         assert denorm_l1_loss(m, build_global_denorm_map(FLAT, 64, 116)) > 0
         assert stats["insufficient_points"] == 0
 
@@ -226,7 +230,8 @@ class TestRefinement:
         verts = np.array([[px.u, px.v] for px in pixels])
         want = barycentric_oracle(verts, 64, 116)
         assert want.sum() > 20
-        m, stats = refine_map(FLAT, boxes, self.K8, 64, 116)
+        planes, tri_id, stats = refine_map(FLAT, boxes, self.K8, 64, 116)
+        m = DenormMap(planes[tri_id])
         assert stats == {"insufficient_points": 0, "degenerate_skipped": 0,
                          "triangles": 1, "covered_pixels": int(want.sum())}
         changed = np.any(m.data != FLAT.params(), axis=2)
