@@ -149,11 +149,8 @@ def attitude_histograms(frames, bins: int, stride: int = 16):
         raise EmptyInput("no frames")
     used, counts = [], []
     for f in frames:
-        k = f.rig.intrinsics
-        h = max(int(round(2 * k.cy)) // stride, 1)
-        w = max(int(round(2 * k.cx)) // stride, 1)
         planes, tri_id, _ = refine_map(
-            f.ground, [o.box3d for o in f.objects], k.scaled(stride), h, w
+            f.ground, [o.box3d for o in f.objects], *f.map_grid(stride)
         )
         ids, n = np.unique(tri_id, return_counts=True)
         used.append(planes[ids])
@@ -189,7 +186,7 @@ def v_correlation_series(frames, quantity: str, perturb=None) -> ScatterSeries:
     fids, vs, vals = [], [], []
     for i, f in enumerate(frames):
         k = f.rig.intrinsics
-        img_h = 2 * k.cy
+        img_h = f.image_size[0]
         rot = None
         if perturb is not None:
             droll, dpitch = perturb[i]

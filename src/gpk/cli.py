@@ -1,11 +1,17 @@
 """Command-line front end: map generation, perturbation studies, fleet
 statistics, synthetic data, loss evaluation, and attention self-checks.
 
-Every run writes a JSON manifest next to its outputs; data files are
-written atomically (temp + rename) and are byte-reproducible for a fixed
-seed regardless of --jobs. gen-maps and synth write each frame's files as
-soon as that frame is done and the report/manifest last, so a run that
-fails mid-fleet leaves the earlier frames' files but no manifest.
+Frames come from one place: a synthetic fleet, or one real frame when any
+of --calib/--labels/--denorm is given. A frame carries its image size:
+--resolution if given, else the scene config's (synthetic) or twice the
+principal point (real).
+
+Every command that takes --out writes through one `_Output`: it creates
+the directory, writes each file atomically (temp + rename) and records it,
+and writes manifest.json last. Data files are byte-reproducible for a
+fixed seed regardless of --jobs. gen-maps and synth write each frame's
+files as soon as that frame is done, so a run that fails mid-fleet leaves
+the earlier frames' files but no manifest.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import analysis, attention, losses, svg
+from . import analysis, attention, svg
 from .dataio import (
     FrameRecord,
     SceneConfig,
@@ -34,6 +40,7 @@ from .dataio import (
     synthesize_scene,
 )
 from .errors import ConfigError, GpkError, ParseError
+from .losses import COMPONENT_NAMES, frame_loss_components, total_loss
 from .mapfile import pack_map
 from .maps import build_ground_depth_map, refine_map
 
@@ -67,21 +74,41 @@ def _config_digest(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def write_manifest(out_dir, command, cfg, inputs, outputs, counters, t0) -> None:
+def write_manifest(args, inputs, outputs, counters, t0) -> None:
+    cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    cfg["seed"] = getattr(args, "seed", None) or 0
     manifest = {
-        "command": command,
+        "command": args.command,
         "config_digest": _config_digest(cfg),
         "config": cfg,
-        "seed": cfg.get("seed"),
+        "seed": cfg["seed"],
         "inputs": sorted(str(p) for p in inputs),
         "outputs": sorted(str(p) for p in outputs),
         "counters": counters,
         "wall_time_s": round(time.monotonic() - t0, 6),
     }
     atomic_write(
-        os.path.join(out_dir, "manifest.json"),
+        os.path.join(args.out, "manifest.json"),
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
     )
+
+
+class _Output:
+    """A command's --out directory: made at the first write; every file
+    is written atomically and recorded, and close() writes the manifest."""
+
+    def __init__(self, args):
+        self.args, self.paths, self.t0 = args, [], time.monotonic()
+
+    def write(self, name: str, data) -> None:
+        if not self.paths:
+            os.makedirs(self.args.out, exist_ok=True)
+        path = os.path.join(self.args.out, name)
+        atomic_write(path, data)
+        self.paths.append(path)
+
+    def close(self, inputs, counters) -> None:
+        write_manifest(self.args, inputs, self.paths, counters, self.t0)
 
 
 def _parse_resolution(text: str):
@@ -148,29 +175,42 @@ def _scene_config(args) -> SceneConfig:
     return SceneConfig(**values)
 
 
+_REAL_INPUTS = ("calib", "labels", "denorm")
+
+
+def _read_input(name: str, path) -> str:
+    if not os.path.exists(path):
+        raise ParseError(f"missing {name} file: {path}")
+    with open(path) as f:
+        return f.read()
+
+
 def _load_real_frame(args) -> FrameRecord:
-    inputs = {"calib": args.calib, "labels": args.labels, "denorm": args.denorm}
-    for name, path in inputs.items():
-        if path is None:
+    """The frame in --calib/--labels/--denorm. Its image size is
+    --resolution, else twice the principal point."""
+    for name in _REAL_INPUTS:
+        if getattr(args, name) is None:
             raise ParseError(f"--{name} is required when reading real frames")
-        if not os.path.exists(path):
-            raise ParseError(f"missing {name} file: {path}")
-    with open(args.calib) as f:
-        rig = parse_calibration(f.read())
-    with open(args.labels) as f:
-        objects = parse_labels(f.read())
-    with open(args.denorm) as f:
-        ground = parse_ground_plane(f.read())
-    return FrameRecord(
-        frame_id="000000", objects=tuple(objects), rig=rig, ground=ground
-    )
+    rig = parse_calibration(_read_input("calib", args.calib))
+    objects = parse_labels(_read_input("labels", args.labels))
+    ground = parse_ground_plane(_read_input("denorm", args.denorm))
+    k = rig.intrinsics
+    size = args.resolution or (int(round(2 * k.cy)), int(round(2 * k.cx)))
+    return FrameRecord(frame_id="000000", objects=tuple(objects), rig=rig,
+                       ground=ground, image_size=size)
 
 
 def _frames_from_args(args):
-    """Real single frame if --calib given, else a synthetic fleet."""
-    if getattr(args, "calib", None):
-        return [_load_real_frame(args)], [args.calib, args.labels, args.denorm]
-    return synthesize_scene(_scene_config(args)), []
+    """(frames, input paths): the real frame if any of --calib/--labels/
+    --denorm is given, else the synthetic fleet."""
+    paths = [getattr(args, name, None) for name in _REAL_INPUTS]
+    if all(p is None for p in paths):
+        return synthesize_scene(_scene_config(args)), []
+    for flag in ("frames", "config"):
+        if getattr(args, flag) is not None:
+            raise ParseError(f"--{flag} applies to synthetic frames only, "
+                             "not with --calib/--labels/--denorm")
+    return [_load_real_frame(args)], paths
 
 
 def _per_frame(frames, jobs: int, work):
@@ -183,10 +223,9 @@ def _per_frame(frames, jobs: int, work):
         yield from pool.map(work, frames)
 
 
-def _map_blobs(frame: FrameRecord, h: int, w: int, stride: int):
+def _map_blobs(frame: FrameRecord, stride: int):
     """Serialized (tag, map) pairs plus refinement counters and residual."""
-    k = frame.rig.intrinsics.scaled(stride)
-    h, w = max(h // stride, 1), max(w // stride, 1)
+    k, h, w = frame.map_grid(stride)
     # Refine first, so the rasterizer's temporaries are gone before any
     # full-size map exists; each dense map lives only while it is packed.
     planes, tri_id, stats = refine_map(
@@ -203,34 +242,25 @@ def _map_blobs(frame: FrameRecord, h: int, w: int, stride: int):
 
 
 def cmd_gen_maps(args) -> int:
-    t0 = time.monotonic()
+    out = _Output(args)
     frames, inputs = _frames_from_args(args)
-    os.makedirs(args.out, exist_ok=True)
-    h, w = args.resolution if args.resolution else (512, 928)
-    outputs, report = [], []
-    counters = {"frames": len(frames)}
-    results = _per_frame(frames, args.jobs,
-                         lambda f: _map_blobs(f, h, w, args.stride))
+    report, counters = [], {"frames": len(frames)}
+    results = _per_frame(frames, args.jobs, lambda f: _map_blobs(f, args.stride))
     for frame, (blobs, stats, residual) in zip(frames, results):
         fid = frame.frame_id
         for tag, blob in blobs:
-            path = os.path.join(args.out, f"{tag}_{fid}.gpkm")
-            atomic_write(path, blob)
-            outputs.append(path)
+            out.write(f"{tag}_{fid}.gpkm", blob)
         for key, value in stats.items():
             counters[key] = counters.get(key, 0) + value
         report.append(f"{fid},{residual!r},{stats['insufficient_points']},"
                       f"{stats['degenerate_skipped']}")
         log.info("frame %s: refinement residual %.3g", fid, residual)
-    report_path = os.path.join(args.out, "report.csv")
-    atomic_write(
-        report_path,
+    out.write(
+        "report.csv",
         "frame_id,refined_vs_global_l1,insufficient_points,degenerate_skipped\n"
         + "\n".join(report) + "\n",
     )
-    outputs.append(report_path)
-    write_manifest(args.out, "gen-maps", _effective_cfg(args), inputs,
-                   outputs, counters, t0)
+    out.close(inputs, counters)
     return EXIT_OK
 
 
@@ -242,69 +272,53 @@ def _perturbation_pairs(n: int, sigma: float, seed: int):
 
 
 def cmd_perturb(args) -> int:
-    t0 = time.monotonic()
+    out = _Output(args)
     if args.sigma < 0:
         raise ParseError("--sigma must be >= 0")
     frames, inputs = _frames_from_args(args)
-    os.makedirs(args.out, exist_ok=True)
     seed = args.seed if args.seed is not None else 0
     pairs = _perturbation_pairs(len(frames), args.sigma, seed)
     quantities = ([args.quantity] if args.quantity else list(analysis.QUANTITIES))
-    outputs, overlaps = [], {}
+    overlaps = {}
     for q in quantities:
         clean = analysis.v_correlation_series(frames, q)
         pert = analysis.v_correlation_series(frames, q, perturb=pairs)
         overlaps[q] = analysis.overlap_coefficient(clean, pert)
         for series in (clean, pert):
-            path = os.path.join(args.out, f"scatter_{q}_{series.condition}.csv")
-            atomic_write(path, series.to_csv())
-            outputs.append(path)
+            out.write(f"scatter_{q}_{series.condition}.csv", series.to_csv())
         plot = svg.scatter_svg(
             [("clean", clean.v, clean.values), ("perturbed", pert.v, pert.values)],
             title=f"{q} vs image row",
         )
-        path = os.path.join(args.out, f"scatter_{q}.svg")
-        atomic_write(path, plot)
-        outputs.append(path)
-    overlap_path = os.path.join(args.out, "overlap.csv")
-    atomic_write(
-        overlap_path,
-        "quantity,overlap\n"
-        + "".join(f"{q},{overlaps[q]!r}\n" for q in quantities),
-    )
-    outputs.append(overlap_path)
+        out.write(f"scatter_{q}.svg", plot)
+    out.write("overlap.csv", "quantity,overlap\n"
+              + "".join(f"{q},{overlaps[q]!r}\n" for q in quantities))
     for q in quantities:
         print(f"overlap({q}) = {overlaps[q]:.6f}")
     if set(("depth", "roll", "pitch")) <= set(quantities):
         ordering = (overlaps["pitch"] > overlaps["depth"]
                     and overlaps["roll"] > overlaps["depth"])
         print(f"attitude-over-depth ordering holds: {ordering}")
-    write_manifest(args.out, "perturb", _effective_cfg(args), inputs, outputs,
-                   {"frames": len(frames)}, t0)
+    out.close(inputs, {"frames": len(frames)})
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
-    t0 = time.monotonic()
+    out = _Output(args)
     if args.bins < 1:
         raise ParseError("--bins must be >= 1")
     frames, inputs = _frames_from_args(args)
-    os.makedirs(args.out, exist_ok=True)
     depth_hist = analysis.depth_histogram(frames, args.bins)
     roll_hist, pitch_hist, height_hist = analysis.attitude_histograms(
         frames, args.bins, stride=args.stride
     )
-    outputs = []
     for name, hist in (("depth", depth_hist), ("roll", roll_hist),
                        ("pitch", pitch_hist), ("height", height_hist)):
-        path = os.path.join(args.out, f"hist_{name}.csv")
-        atomic_write(path, hist.to_csv())
-        outputs.append(path)
+        out.write(f"hist_{name}.csv", hist.to_csv())
         print(f"{name}: relative support {hist.relative_support():.6f}")
     ratio = depth_hist.relative_support() / pitch_hist.relative_support()
     print(f"depth/pitch relative-support ratio: {ratio:.3f}")
-    write_manifest(args.out, "stats", _effective_cfg(args), inputs, outputs,
-                   {"frames": len(frames)}, t0)
+    out.close(inputs, {"frames": len(frames)})
     return EXIT_OK
 
 
@@ -318,76 +332,29 @@ def _frame_texts(frame: FrameRecord):
 
 
 def cmd_synth(args) -> int:
-    t0 = time.monotonic()
-    frames = synthesize_scene(_scene_config(args))
-    os.makedirs(args.out, exist_ok=True)
-    outputs = []
+    out = _Output(args)
+    frames, inputs = _frames_from_args(args)
     for frame, texts in zip(frames, _per_frame(frames, args.jobs, _frame_texts)):
         for tag, text in texts:
-            path = os.path.join(args.out, f"{tag}_{frame.frame_id}.txt")
-            atomic_write(path, text)
-            outputs.append(path)
-    write_manifest(args.out, "synth", _effective_cfg(args), [], outputs,
-                   {"frames": len(frames)}, t0)
+            out.write(f"{tag}_{frame.frame_id}.txt", text)
+    out.close(inputs, {"frames": len(frames)})
     print(f"wrote {len(frames)} frames to {args.out}")
     return EXIT_OK
 
 
-def _frame_loss_components(pred, gt, denorm_l1: float) -> dict:
-    if len(pred) != len(gt):
-        raise ParseError(
-            f"prediction/label object counts differ: {len(pred)} vs {len(gt)}"
-        )
-    comps = dict.fromkeys(losses.COMPONENT_NAMES, 0.0)
-    for p, g in zip(pred, gt):
-        comps["classification"] += 0.0 if p.category == g.category else 1.0
-        comps["size2d"] += sum(
-            losses.l1_loss(a, b)[0] for a, b in zip(p.box2d, g.box2d)
-        )
-        comps["center3d"] += sum(
-            losses.l1_loss(a, b)[0]
-            for a, b in zip(
-                (p.box3d.x, p.box3d.y, p.box3d.z),
-                (g.box3d.x, g.box3d.y, g.box3d.z),
-            )
-        )
-        comps["giou"] += losses.giou_loss_2d(p.box2d, g.box2d)
-        comps["size3d"] += sum(
-            losses.l1_loss(a, b)[0]
-            for a, b in zip(
-                (p.box3d.l, p.box3d.w, p.box3d.h),
-                (g.box3d.l, g.box3d.w, g.box3d.h),
-            )
-        )
-        comps["angle"] += losses.angle_loss(p.box3d.theta, g.box3d.theta)[0]
-        comps["depth"] += losses.laplace_depth_loss(p.box3d.z, g.box3d.z, 1.0)[0]
-    if pred:
-        for key in comps:
-            comps[key] /= len(pred)
-    comps["denorm"] = denorm_l1
-    return comps
-
-
 def cmd_losses(args) -> int:
-    for name, path in (("pred", args.pred), ("labels", args.labels)):
-        if not os.path.exists(path):
-            raise ParseError(f"missing {name} file: {path}")
-    with open(args.pred) as f:
-        pred = parse_labels(f.read())
-    with open(args.labels) as f:
-        gt = parse_labels(f.read())
+    pred = parse_labels(_read_input("pred", args.pred))
+    gt = parse_labels(_read_input("labels", args.labels))
     denorm_l1 = 0.0
     if args.pred_denorm or args.denorm:
         if not (args.pred_denorm and args.denorm):
             raise ParseError("need both --pred-denorm and --denorm")
-        with open(args.pred_denorm) as f:
-            gp = parse_ground_plane(f.read())
-        with open(args.denorm) as f:
-            gg = parse_ground_plane(f.read())
+        gp = parse_ground_plane(_read_input("pred-denorm", args.pred_denorm))
+        gg = parse_ground_plane(_read_input("denorm", args.denorm))
         denorm_l1 = float(np.mean(np.abs(gp.params() - gg.params())))
-    comps = _frame_loss_components(pred, gt, denorm_l1)
-    total = losses.total_loss(comps)
-    for name in losses.COMPONENT_NAMES:
+    comps = frame_loss_components(pred, gt, denorm_l1)
+    total = total_loss(comps)
+    for name in COMPONENT_NAMES:
         print(f"{name}: {comps[name]:.6f}")
     print(f"total: {total:.6f}")
     return EXIT_OK
@@ -436,6 +403,7 @@ def _attention_checks(seed: int):
 
 
 def cmd_check_attn(args) -> int:
+    out = _Output(args)
     seed = args.seed if args.seed is not None else 0
     checks = _attention_checks(seed)
     failed = 0
@@ -445,17 +413,9 @@ def cmd_check_attn(args) -> int:
     fixture = attention.decoder_fixture(8, 12, 20, 16, 4, seed)
     print(f"fixture digests: {fixture['digests']}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        atomic_write(os.path.join(args.out, "attention_fixture.json"),
-                     attention.fixture_json(fixture))
+        out.write("attention_fixture.json", attention.fixture_json(fixture))
+        out.close([], {"checks": len(checks), "failed": failed})
     return EXIT_OK if failed == 0 else EXIT_GEOMETRY
-
-
-def _effective_cfg(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items()
-           if k not in ("func",) and v is not None}
-    cfg["seed"] = getattr(args, "seed", None) or 0
-    return cfg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -471,6 +431,9 @@ def _add_common(p, with_inputs=True):
                    help="key=value config file (flags win)")
     p.add_argument("--frames", type=int, default=None,
                    help="synthetic frame count")
+    p.add_argument("--resolution", type=_parse_resolution, default=None,
+                   help="image size HxW (default: the scene config's, or "
+                   "twice a real frame's principal point)")
     if with_inputs:
         p.add_argument("--calib", default=None, help="calibration file")
         p.add_argument("--labels", default=None, help="label file")
@@ -488,8 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-maps", help="write depth/global/refined maps")
     _add_common(p)
     p.add_argument("--jobs", type=int, default=1, help="frame worker threads")
-    p.add_argument("--resolution", type=_parse_resolution, default=None,
-                   help="map size HxW (default 512x928)")
     p.add_argument("--stride", type=int, choices=(1, 16), default=1)
     p.set_defaults(func=cmd_gen_maps)
 
@@ -498,20 +459,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.3,
                    help="roll/pitch offset std dev (radians)")
     p.add_argument("--quantity", choices=analysis.QUANTITIES, default=None)
-    p.add_argument("--resolution", type=_parse_resolution, default=None)
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("stats", help="fleet depth/attitude histograms")
     _add_common(p)
     p.add_argument("--bins", type=int, default=64)
     p.add_argument("--stride", type=int, choices=(1, 16), default=16)
-    p.add_argument("--resolution", type=_parse_resolution, default=None)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("synth", help="write synthetic label/calib/denorm files")
     _add_common(p, with_inputs=False)
     p.add_argument("--jobs", type=int, default=1, help="frame worker threads")
-    p.add_argument("--resolution", type=_parse_resolution, default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("losses", help="evaluate losses between two label files")

@@ -45,6 +45,13 @@ class FrameRecord:
     objects: tuple  # of LabeledObject
     rig: CameraRig
     ground: GroundPlane
+    image_size: tuple  # (h, w) pixels
+
+    def map_grid(self, stride: int):
+        """(intrinsics, h, w) of a map at 1/stride of the image."""
+        h, w = self.image_size
+        return (self.rig.intrinsics.scaled(stride), max(h // stride, 1),
+                max(w // stride, 1))
 
 
 def _fmt(x: float) -> str:
@@ -337,6 +344,7 @@ def synthesize_scene(cfg: SceneConfig):
                 objects=tuple(objects),
                 rig=CameraRig(intrinsics=k, extrinsics=e),
                 ground=g,
+                image_size=(cfg.image_height, cfg.image_width),
             )
         )
     return frames

@@ -304,18 +304,13 @@ def rotate_plane(g: GroundPlane, droll: float, dpitch: float) -> GroundPlane:
 
 
 def ground_homography(
-    k: CameraIntrinsics, g: GroundPlane, droll: float, dpitch: float
+    k: CameraIntrinsics, droll: float, dpitch: float
 ) -> np.ndarray:
     """Homography mapping clean pixels to perturbed-camera pixels.
 
     A rotation about the camera center induces the exact full-image
-    homography H = K R K^-1 (not restricted to the ground); g is accepted
-    for interface symmetry and validated only.
+    homography H = K R K^-1, whatever the ground plane.
     """
-    if k.fx <= 0 or k.fy <= 0:
-        raise SingularIntrinsics("focal lengths must be positive")
-    if not isinstance(g, GroundPlane):
-        raise TypeError("g must be a GroundPlane")
     r = perturbation_rotation(droll, dpitch)
     return k.matrix() @ r @ k.inverse_matrix()
 

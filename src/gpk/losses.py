@@ -1,5 +1,6 @@
 """Detection losses with analytic gradients: focal, L1, GIoU, angle,
-Laplace-uncertainty depth, and the weighted total."""
+Laplace-uncertainty depth, the weighted total, and the per-frame
+components between two label files."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ParseError
 
 COMPONENT_NAMES = (
     "classification",
@@ -156,3 +157,38 @@ def total_loss(components, weights: LossWeights = LossWeights()) -> float:
     if not all(math.isfinite(v) for v in values):
         raise DomainError("loss components must be finite")
     return float(sum(w * v for w, v in zip(weights.as_tuple(), values)))
+
+
+def frame_loss_components(pred, gt, denorm_l1: float) -> dict:
+    """Per-object mean of each loss component between two label lists
+    (LabeledObject, matched by position), plus the given denorm L1."""
+    if len(pred) != len(gt):
+        raise ParseError(
+            f"prediction/label object counts differ: {len(pred)} vs {len(gt)}"
+        )
+    comps = dict.fromkeys(COMPONENT_NAMES, 0.0)
+    for p, g in zip(pred, gt):
+        comps["classification"] += 0.0 if p.category == g.category else 1.0
+        comps["size2d"] += sum(l1_loss(a, b)[0] for a, b in zip(p.box2d, g.box2d))
+        comps["center3d"] += sum(
+            l1_loss(a, b)[0]
+            for a, b in zip(
+                (p.box3d.x, p.box3d.y, p.box3d.z),
+                (g.box3d.x, g.box3d.y, g.box3d.z),
+            )
+        )
+        comps["giou"] += giou_loss_2d(p.box2d, g.box2d)
+        comps["size3d"] += sum(
+            l1_loss(a, b)[0]
+            for a, b in zip(
+                (p.box3d.l, p.box3d.w, p.box3d.h),
+                (g.box3d.l, g.box3d.w, g.box3d.h),
+            )
+        )
+        comps["angle"] += angle_loss(p.box3d.theta, g.box3d.theta)[0]
+        comps["depth"] += laplace_depth_loss(p.box3d.z, g.box3d.z, 1.0)[0]
+    if pred:
+        for key in comps:
+            comps[key] /= len(pred)
+    comps["denorm"] = denorm_l1
+    return comps

@@ -276,7 +276,7 @@ def test_08_homography_consistency():
     for _ in range(100):
         droll = rng.uniform(-0.25, 0.25)
         dpitch = rng.uniform(-0.25, 0.25)
-        h = ground_homography(k, g, droll, dpitch)
+        h = ground_homography(k, droll, dpitch)
         r = perturbation_rotation(droll, dpitch)
         n = 0
         while n < 10:

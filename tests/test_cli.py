@@ -6,11 +6,20 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gpk
-from gpk.cli import main
-from gpk.dataio import SceneConfig, synthesize_scene
+from gpk.cli import _load_real_frame, build_parser, main
+from gpk.dataio import (
+    CameraRig,
+    SceneConfig,
+    parse_calibration,
+    serialize_calibration,
+    synthesize_scene,
+)
+from gpk.geometry import CameraIntrinsics
+from gpk.mapfile import load_denorm_map
 from gpk.maps import refine_map
 
 SMALL = ["--frames", "3", "--resolution", "64x116"]
@@ -26,6 +35,13 @@ def usage_exit_code(args, capsys):
         run(args)
     assert "usage: gpk" in capsys.readouterr().err
     return exc.value.code
+
+
+def real_inputs(synth_dir, fid="000000"):
+    """--calib/--labels/--denorm flags for one frame `synth` wrote."""
+    return ["--calib", str(synth_dir / f"calib_{fid}.txt"),
+            "--labels", str(synth_dir / f"label_{fid}.txt"),
+            "--denorm", str(synth_dir / f"denorm_{fid}.txt")]
 
 
 def dir_bytes(path, skip=("manifest.json",)):
@@ -145,6 +161,76 @@ class TestGenMaps:
             "--denorm", str(tmp_path / "nope.txt"),
         ])
         assert code == 1
+
+
+class TestRealFrames:
+    @pytest.fixture
+    def synth(self, tmp_path):
+        out = tmp_path / "synth"
+        assert run(["synth", "--out", str(out), "--seed", "2", "--frames", "1"]) == 0
+        return out
+
+    def test_full_hd_map_covers_the_image(self, tmp_path):
+        # A 1920x1080 roadside camera: the stride-16 map spans the whole
+        # image, on the same grid (FrameRecord.map_grid) that `stats` refines.
+        cfg = tmp_path / "hd.cfg"
+        cfg.write_text("focal = 2000\n")
+        synth = tmp_path / "synth"
+        assert run(["synth", "--out", str(synth), "--seed", "3", "--frames", "1",
+                    "--resolution", "1080x1920", "--config", str(cfg)]) == 0
+        out = tmp_path / "maps"
+        assert run(["gen-maps", "--out", str(out), "--stride", "16"]
+                   + real_inputs(synth)) == 0
+        refined = load_denorm_map(out / "refined_000000.gpkm").data
+        counters = json.loads((out / "manifest.json").read_text())["counters"]
+        assert refined.shape == (67, 120, 4)
+        assert counters["covered_pixels"] == 1464
+        (frame,) = synthesize_scene(SceneConfig(
+            seed=3, n_frames=1, image_height=1080, image_width=1920, focal=2000.0))
+        planes, tri_id, _ = refine_map(
+            frame.ground, [o.box3d for o in frame.objects], *frame.map_grid(16))
+        assert np.array_equal(refined, planes[tri_id].astype(np.float32))
+
+    def test_image_size_is_resolution_else_twice_principal_point(
+            self, tmp_path, synth):
+        calib = synth / "calib_000000.txt"
+        rig = parse_calibration(calib.read_text())
+        k = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=640.3, cy=359.8)
+        calib.write_text(serialize_calibration(CameraRig(k, rig.extrinsics)))
+        argv = ["stats", "--out", str(tmp_path / "s")] + real_inputs(synth)
+        parse = build_parser().parse_args
+        assert _load_real_frame(parse(argv)).image_size == (720, 1281)
+        sized = parse(argv + ["--resolution", "1080x1920"])
+        assert _load_real_frame(sized).image_size == (1080, 1920)
+
+    def test_stats_honours_resolution(self, tmp_path, synth):
+        for name, flags in (("full", []), ("half", ["--resolution", "256x464"])):
+            assert run(["stats", "--out", str(tmp_path / name)]
+                       + real_inputs(synth) + flags) == 0
+        for name in ("roll", "pitch", "height"):
+            full = (tmp_path / "full" / f"hist_{name}.csv").read_text()
+            half = (tmp_path / "half" / f"hist_{name}.csv").read_text()
+            assert full != half, name
+
+    @pytest.mark.parametrize("command", ["gen-maps", "perturb", "stats"])
+    def test_labels_without_calib_exit_1(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert run([command, "--out", str(out),
+                    "--labels", str(tmp_path / "nope.txt")]) == 1
+        assert "--calib is required" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--frames", "2"],
+                                       ["--config", "nonexistent.cfg"]],
+                             ids=["frames", "config"])
+    def test_synthetic_flags_with_real_inputs_exit_1(self, tmp_path, capsys,
+                                                     synth, flags):
+        out = tmp_path / "maps"
+        assert run(["gen-maps", "--out", str(out)] + real_inputs(synth)
+                   + flags) == 1
+        err = capsys.readouterr().err
+        assert f"{flags[0]} applies to synthetic frames only" in err
+        assert not out.exists()
 
 
 class TestPerturb:
@@ -299,6 +385,15 @@ class TestLosses:
         assert run(["losses", "--pred", str(tmp_path / "a.txt"),
                     "--labels", str(tmp_path / "b.txt")]) == 1
 
+    def test_object_count_mismatch_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        run(["synth", "--out", str(out), "--seed", "3", "--frames", "1"])
+        label = out / "label_000000.txt"
+        one = tmp_path / "one.txt"
+        one.write_text(label.read_text().splitlines()[0] + "\n")
+        assert run(["losses", "--pred", str(one), "--labels", str(label)]) == 1
+        assert "object counts differ: 1 vs 40" in capsys.readouterr().err
+
 
 class TestCheckAttn:
     def test_all_invariants_pass(self, capsys):
@@ -312,6 +407,13 @@ class TestCheckAttn:
         assert run(["check-attn", "--seed", "5", "--out", str(out)]) == 0
         fixture = json.loads((out / "attention_fixture.json").read_text())
         assert set(fixture["digests"]) == {"queries_out", "ground_attention"}
+
+    def test_out_writes_manifest(self, tmp_path):
+        out = tmp_path / "fx"
+        assert run(["check-attn", "--seed", "5", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "check-attn"
+        assert manifest["outputs"] == [str(out / "attention_fixture.json")]
 
 
 class TestImportCost:

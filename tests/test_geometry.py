@@ -274,17 +274,15 @@ class TestPerturbation:
 
 class TestHomography:
     def test_identity_for_zero_offsets(self):
-        g = GroundPlane(0.0, -1.0, 0.0, 6.0)
-        h = ground_homography(K, g, 0.0, 0.0)
+        h = ground_homography(K, 0.0, 0.0)
         assert np.allclose(h, np.eye(3), atol=1e-12)
 
     def test_matches_point_rotation(self):
         rng = np.random.default_rng(13)
-        g = attitude_to_plane(CameraAttitude(roll=0.01, pitch=0.18, height=6.0))
         for _ in range(200):
             droll = rng.uniform(-0.2, 0.2)
             dpitch = rng.uniform(-0.2, 0.2)
-            h = ground_homography(K, g, droll, dpitch)
+            h = ground_homography(K, droll, dpitch)
             p = np.array([rng.uniform(-15, 15), rng.uniform(0, 8),
                           rng.uniform(20, 150)])
             p_rot = perturbation_rotation(droll, dpitch) @ p
