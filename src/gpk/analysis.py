@@ -8,14 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, GpkError, QuantityMismatch
-from .geometry import (
-    bottom_center,
-    ground_depth_at_pixel,
-    perturbation_rotation,
-    plane_to_attitude,
-    project_point,
-)
+from .errors import EmptyInput, QuantityMismatch
+from .geometry import (_HORIZON_TOL, bottom_centers, perturbation_rotation,
+                       plane_to_attitude, project_points, ray_ground_denominator)
 from .maps import refine_map
 
 QUANTITIES = ("depth", "roll", "pitch")
@@ -76,8 +71,9 @@ class Histogram:
 
     def to_csv(self) -> str:
         lines = ["bin_lo,bin_hi,count"]
-        for i, c in enumerate(self.counts):
-            lines.append(f"{self.edges[i]!r},{self.edges[i + 1]!r},{int(c)}")
+        edges = self.edges.tolist()  # Python floats: repr is a plain number
+        for lo, hi, c in zip(edges, edges[1:], self.counts.tolist()):
+            lines.append(f"{lo!r},{hi!r},{c}")
         return "\n".join(lines) + "\n"
 
 
@@ -99,31 +95,27 @@ class ScatterSeries:
 
     def to_csv(self) -> str:
         lines = ["frame_id,v,value,condition"]
-        for fid, v, val in zip(self.frame_ids, self.v, self.values):
+        for fid, v, val in zip(self.frame_ids, self.v.tolist(),
+                               self.values.tolist()):
             lines.append(f"{fid},{v!r},{val!r},{self.condition}")
         return "\n".join(lines) + "\n"
 
 
-def _object_ground_depths(frame):
-    """Analytic ground depth at each projected bottom-center pixel."""
-    k = frame.rig.intrinsics
-    out = []
-    for obj in frame.objects:
-        p = bottom_center(obj.box3d, frame.ground)
-        try:
-            px = project_point(p, k)
-            out.append(ground_depth_at_pixel(px, k, frame.ground))
-        except GpkError:
-            continue
-    return out
-
-
 def depth_histogram(frames, bins: int) -> Histogram:
-    """Histogram of per-object ground depths at annotated bottom centers."""
+    """Histogram of per-object ground depths at annotated bottom centers:
+    the ray through each projected center meets the plane, unless parallel
+    to it or behind the camera."""
     depths = []
     for f in frames:
-        depths.extend(_object_ground_depths(f))
-    if not depths:
+        k, g = f.rig.intrinsics, f.ground
+        p = bottom_centers([o.box3d for o in f.objects], g)
+        u, v = project_points(p[p[:, 2] > 0], k).T
+        denom = ray_ground_denominator(u, v, k, g)
+        with np.errstate(all="ignore"):
+            z = -g.d / denom
+        depths.append(z[(np.abs(denom) > _HORIZON_TOL) & (z > 0)])
+    depths = np.concatenate(depths) if depths else np.empty(0)
+    if not depths.size:
         raise EmptyInput("no annotated boxes")
     return Histogram.from_values(depths, bins)
 
@@ -185,39 +177,28 @@ def v_correlation_series(frames, quantity: str, perturb=None) -> ScatterSeries:
 
     fids, vs, vals = [], [], []
     for i, f in enumerate(frames):
-        k = f.rig.intrinsics
-        img_h = f.image_size[0]
-        rot = None
+        p = bottom_centers([o.box3d for o in f.objects], f.ground)
         if perturb is not None:
-            droll, dpitch = perturb[i]
-            rot = perturbation_rotation(droll, dpitch)
+            rot = perturbation_rotation(*perturb[i])
+            # matmul of stacked 3x3 @ 3x1 rounds as rot @ p does per point.
+            p = np.matmul(rot[None], p[:, :, None])[:, :, 0]
+        p = p[p[:, 2] > 0]
+        v = project_points(p, f.rig.intrinsics)[:, 1]
+        seen = (0.0 <= v) & (v < f.image_size[0])
         att = plane_to_attitude(f.ground)
-        for obj in f.objects:
-            p = bottom_center(obj.box3d, f.ground)
-            if rot is not None:
-                p = rot @ p
-            if p[2] <= 0:
-                continue
-            px = project_point(p, k)
-            if not (0.0 <= px.v < img_h):
-                continue
-            if quantity == "depth":
-                value = float(p[2])
-            elif quantity == "roll":
-                value = att.roll
-            else:
-                value = att.pitch
-            fids.append(f.frame_id)
-            vs.append(px.v)
-            vals.append(value)
-    if not vs:
+        value = {"depth": p[:, 2], "roll": att.roll, "pitch": att.pitch}[quantity]
+        fids.extend([f.frame_id] * int(seen.sum()))
+        vs.append(v[seen])
+        vals.append(np.broadcast_to(value, v.shape)[seen])
+    v = np.concatenate(vs)
+    if not v.size:
         raise EmptyInput("no visible objects")
     return ScatterSeries(
         quantity=quantity,
         condition="clean" if perturb is None else "perturbed",
         frame_ids=fids,
-        v=np.array(vs),
-        values=np.array(vals),
+        v=v,
+        values=np.concatenate(vals),
     )
 
 

@@ -140,15 +140,13 @@ class BlockWeights:
             raise ShapeMismatch("FFN bias widths are inconsistent")
 
     @classmethod
-    def create(
-        cls, c: int, heads: int, seed: int = 0, ffn_width: int | None = None
-    ) -> "BlockWeights":
-        """Seeded uniform(-1/sqrt(C), 1/sqrt(C)) initialization."""
+    def create(cls, c: int, heads: int, seed: int = 0) -> "BlockWeights":
+        """Seeded uniform(-1/sqrt(C), 1/sqrt(C)) initialization; FFN width 4C."""
         if c < 1 or heads < 1 or c % heads:
             raise ShapeMismatch(
                 f"channels ({c}) must be divisible by heads ({heads})"
             )
-        cff = 4 * c if ffn_width is None else ffn_width
+        cff = 4 * c
         rng = np.random.default_rng(seed)
         return cls(
             c=c,
@@ -323,9 +321,10 @@ def matrix_digest(m: np.ndarray) -> str:
 
 
 def decoder_fixture(
-    n: int, t_ground: int, t_visual: int, c: int, heads: int, seed: int, blocks: int = 3
+    n: int, t_ground: int, t_visual: int, c: int, heads: int, seed: int
 ) -> dict:
-    """Deterministic regression fixture for a decoder stack run."""
+    """Deterministic regression fixture for a 3-block decoder stack run."""
+    blocks = 3
     rng = np.random.default_rng(seed)
     q = QuerySet(rng.standard_normal((n, c)))
     fg = FeatureSequence(rng.standard_normal((t_ground, c)), ROLE_GROUND)

@@ -196,6 +196,9 @@ def _load_real_frame(args) -> FrameRecord:
     ground = parse_ground_plane(_read_input("denorm", args.denorm))
     k = rig.intrinsics
     size = args.resolution or (int(round(2 * k.cy)), int(round(2 * k.cx)))
+    if min(size) < 1:
+        raise ParseError(f"image size {size[0]}x{size[1]} from twice the "
+                         "principal point is not positive; give --resolution")
     return FrameRecord(frame_id="000000", objects=tuple(objects), rig=rig,
                        ground=ground, image_size=size)
 
@@ -495,7 +498,7 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise ParseError("--jobs must be >= 1")
         return args.func(args)
-    except (ParseError, ConfigError, FileNotFoundError, OSError) as exc:
+    except (ParseError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (GpkError, ValueError) as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,12 +16,14 @@ from .geometry import (
     CameraIntrinsics,
     GroundPlane,
     attitude_to_plane,
-    project_point,
+    project_points,
     rotation_pitch,
     rotation_roll,
 )
 
 _N_LABEL_FIELDS = 15
+# (length, width, height) signs of a box's 8 corners, height varying fastest.
+_CORNER_SIGNS = np.array(list(itertools.product((-0.5, 0.5), repeat=3)))
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,7 @@ def parse_ground_plane(text: str) -> GroundPlane:
         raise ParseError(str(exc)) from None
     try:
         return GroundPlane(a, b, c, d)
-    except (ValueError, DegeneratePlane):
+    except (ValueError, OverflowError, DegeneratePlane):  # x**2 can overflow
         pass
     try:
         return GroundPlane.from_raw(a, b, c, d)
@@ -250,6 +253,9 @@ def _frame_extrinsics(att: CameraAttitude, g: GroundPlane) -> CameraExtrinsics:
 
 
 def _sample_box(rng, cfg: SceneConfig, k: CameraIntrinsics, g: GroundPlane):
+    # The inverse of geometry.bottom_centers and project_points: a pixel
+    # column and depth give the bottom center on the plane, the row test
+    # reprojects it, and the box center sits h/2 up the normal from it.
     h_img, w_img = cfg.image_height, cfg.image_width
     m = cfg.edge_margin
     for _ in range(1000):
@@ -286,21 +292,16 @@ def _project_box2d(box: BBox3D, g: GroundPlane, k: CameraIntrinsics, h_img, w_im
     right = np.cross(up, fwd)
     heading = math.cos(box.theta) * fwd + math.sin(box.theta) * right
     side = np.cross(up, heading)
-    c = box.center()
-    us, vs = [], []
-    for sl in (-0.5, 0.5):
-        for sw in (-0.5, 0.5):
-            for sh in (-0.5, 0.5):
-                corner = c + sl * box.l * heading + sw * box.w * side + sh * box.h * up
-                if corner[2] <= 0:
-                    return None
-                px = project_point(corner, k)
-                us.append(px.u)
-                vs.append(px.v)
-    left = max(min(us), 0.0)
-    right2d = min(max(us), float(w_img))
-    top = max(min(vs), 0.0)
-    bottom2d = min(max(vs), float(h_img))
+    sl, sw, sh = _CORNER_SIGNS.T[:, :, None]
+    corners = (box.center() + (sl * box.l) * heading + (sw * box.w) * side
+               + (sh * box.h) * up)
+    if (corners[:, 2] <= 0).any():
+        return None
+    us, vs = project_points(corners, k).T
+    left = max(us.min(), 0.0)
+    right2d = min(us.max(), float(w_img))
+    top = max(vs.min(), 0.0)
+    bottom2d = min(vs.max(), float(h_img))
     if left >= right2d or top >= bottom2d:
         return None
     return (left, top, right2d, bottom2d)

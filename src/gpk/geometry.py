@@ -179,12 +179,25 @@ class Pixel:
             raise ValueError("pixel coordinates must be finite")
 
 
+def project_points(points, k: CameraIntrinsics) -> np.ndarray:
+    """(n, 2) pixels (u, v) of (n, 3) camera-frame points; no depth check."""
+    p = np.asarray(points, dtype=float).reshape(-1, 3)
+    with np.errstate(all="ignore"):
+        return np.stack([k.fx * p[:, 0] / p[:, 2] + k.cx,
+                         k.fy * p[:, 1] / p[:, 2] + k.cy], axis=1)
+
+
 def project_point(p, k: CameraIntrinsics) -> Pixel:
     """Project a camera-frame point to the image. Requires z > 0."""
     p = np.asarray(p, dtype=float)
     if p[2] <= 0:
         raise NonPositiveDepth(f"z = {p[2]}")
-    return Pixel(k.fx * p[0] / p[2] + k.cx, k.fy * p[1] / p[2] + k.cy)
+    return Pixel(*project_points(p, k)[0])
+
+
+def ray_ground_denominator(u, v, k: CameraIntrinsics, g: GroundPlane):
+    """alpha*(u-cx)/fx + beta*(v-cy)/fy + gamma; the ray meets g at z = -d / it."""
+    return g.alpha * (u - k.cx) / k.fx + g.beta * (v - k.cy) / k.fy + g.gamma
 
 
 def ground_depth_at_pixel(px: Pixel, k: CameraIntrinsics, g: GroundPlane) -> float:
@@ -193,9 +206,7 @@ def ground_depth_at_pixel(px: Pixel, k: CameraIntrinsics, g: GroundPlane) -> flo
     Closed form of the joint pinhole + plane constraint:
     z = -d / (alpha*(u-cx)/fx + beta*(v-cy)/fy + gamma).
     """
-    denom = (
-        g.alpha * (px.u - k.cx) / k.fx + g.beta * (px.v - k.cy) / k.fy + g.gamma
-    )
+    denom = ray_ground_denominator(px.u, px.v, k, g)
     if abs(denom) <= _HORIZON_TOL:
         raise HorizonRay(f"ray at ({px.u}, {px.v}) is parallel to the plane")
     z = -g.d / denom
@@ -252,13 +263,20 @@ def attitude_to_plane(a: CameraAttitude) -> GroundPlane:
     return GroundPlane.from_raw(cp * sr, -cp * cr, -sp, a.height)
 
 
-def bottom_center(b: BBox3D, g: GroundPlane) -> np.ndarray:
-    """Center of the box bottom face, assuming gravity alignment.
+def bottom_centers(boxes, g: GroundPlane) -> np.ndarray:
+    """(n, 3) centers of the boxes' bottom faces, assuming gravity alignment.
 
     Roadside cameras are pitched, so "down" is the negated ground normal
-    rather than camera +y.
+    rather than camera +y. This is the one place that reads a box's
+    location as its center; dataio._sample_box places boxes by the inverse.
     """
-    return b.center() - 0.5 * b.h * g.normal
+    rows = np.array([(b.x, b.y, b.z, b.h) for b in boxes], float).reshape(-1, 4)
+    return rows[:, :3] - (0.5 * rows[:, 3:]) * g.normal
+
+
+def bottom_center(b: BBox3D, g: GroundPlane) -> np.ndarray:
+    """Center of one box's bottom face (see bottom_centers)."""
+    return bottom_centers([b], g)[0]
 
 
 def rotation_roll(angle: float) -> np.ndarray:

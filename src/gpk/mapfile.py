@@ -1,8 +1,9 @@
 """GPKM binary map files.
 
-Layout: magic "GPKM", u32 version=1, u32 height, u32 width, u32 channels,
-u8 mask-present flag, row-major little-endian float32 payload, then (if
-flagged) row-major packed validity bits. Round-trips are bit-exact.
+Layout: magic "GPKM", u32 version=1, u32 height, u32 width, u32 channels
+(all positive), u8 mask-present flag, row-major little-endian float32
+payload, then (if flagged) row-major packed validity bits. Round-trips are
+bit-exact.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ def unpack_map(blob: bytes):
         raise ParseError(f"bad magic {magic!r}")
     if version != VERSION:
         raise ParseError(f"unsupported version {version}")
+    if 0 in (h, w, c):  # numpy cannot shape an empty array of huge extents
+        raise ParseError(f"empty GPKM map {h}x{w}x{c}")
     off = _HEADER.size
     n = h * w * c
     if len(blob) < off + 4 * n:

@@ -23,7 +23,8 @@ from .errors import (
     DimensionMismatch,
     InsufficientPoints,
 )
-from .geometry import _HORIZON_TOL, CameraIntrinsics, GroundPlane
+from .geometry import (_HORIZON_TOL, CameraIntrinsics, GroundPlane,
+                       bottom_centers, project_points)
 
 
 @dataclass
@@ -76,6 +77,8 @@ def build_ground_depth_map(
     """Evaluate the ray-plane depth at every pixel center (u+0.5, v+0.5).
 
     Horizon and behind-camera pixels become mask entries instead of errors.
+    The denominator is geometry.ray_ground_denominator in separable form,
+    alpha * ((u - cx) / fx): that rounding is what GPKM depth files hold.
     """
     if h <= 0 or w <= 0:
         raise DimensionMismatch("map dimensions must be positive")
@@ -124,9 +127,7 @@ def _fit_sub_planes(points: np.ndarray, k: CameraIntrinsics):
     triangles collinear in image space, and planes that miss one of their
     generating points by more than 1e-9 (nearly collinear triples).
     """
-    with np.errstate(all="ignore"):
-        pts2d = np.stack([k.fx * points[:, 0] / points[:, 2] + k.cx,
-                          k.fy * points[:, 1] / points[:, 2] + k.cy], axis=1)
+    pts2d = project_points(points, k)
     seen = (points[:, 2] > 0) & np.isfinite(pts2d).all(axis=1)
     usable, pts2d = points[seen], pts2d[seen]
     if len(usable) < 3:
@@ -284,8 +285,7 @@ def refine_map(g_initial: GroundPlane, boxes, k: CameraIntrinsics, h: int, w: in
         raise DimensionMismatch("map dimensions must be positive")
     stats = {"insufficient_points": 0, "degenerate_skipped": 0}
     pixels, planes = np.empty((0, 3, 2)), np.empty((0, 4))
-    rows = np.array([(b.x, b.y, b.z, b.h) for b in boxes], float).reshape(-1, 4)
-    points = rows[:, :3] - (0.5 * rows[:, 3:]) * g_initial.normal  # bottom_center
+    points = bottom_centers(boxes, g_initial)
     try:
         _, pixels, planes, stats["degenerate_skipped"] = _fit_sub_planes(points, k)
     except InsufficientPoints:

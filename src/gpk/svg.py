@@ -16,8 +16,8 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return out_lo + (values - lo) / span * (out_hi - out_lo)
 
 
-def scatter_svg(series, width: int = 640, height: int = 480, title: str = "") -> str:
-    """Render (label, x, y) series as an SVG scatter plot.
+def scatter_svg(series, title: str = "") -> str:
+    """Render (label, x, y) series as a 640 x 480 SVG scatter plot.
 
     `series` is a list of (label, x-array, y-array) triples; each label
     gets its own color and a legend entry.
@@ -28,6 +28,7 @@ def scatter_svg(series, width: int = 640, height: int = 480, title: str = "") ->
     ys = np.concatenate([y for _, _, y in series]) if series else np.zeros(1)
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
+    width, height = 640, 480
     m = 48  # margin for axes and labels
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

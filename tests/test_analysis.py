@@ -13,9 +13,27 @@ from gpk.analysis import (
     overlap_coefficient,
     v_correlation_series,
 )
-from gpk.dataio import SceneConfig, synthesize_scene
-from gpk.errors import EmptyInput, QuantityMismatch
-from gpk.geometry import CameraAttitude, attitude_to_plane, plane_to_attitude
+from gpk.dataio import (
+    CameraRig,
+    FrameRecord,
+    LabeledObject,
+    SceneConfig,
+    synthesize_scene,
+)
+from gpk.errors import EmptyInput, GpkError, QuantityMismatch
+from gpk.geometry import (
+    BBox3D,
+    CameraAttitude,
+    CameraExtrinsics,
+    CameraIntrinsics,
+    GroundPlane,
+    attitude_to_plane,
+    bottom_center,
+    ground_depth_at_pixel,
+    perturbation_rotation,
+    plane_to_attitude,
+    project_point,
+)
 from gpk.maps import build_global_denorm_map, refine_map
 
 
@@ -37,6 +55,117 @@ def dense_attitude_histograms(frames, bins, stride):
         for out, q in zip(samples, map_attitudes(planes[tri_id])):
             out.append(q.reshape(-1))
     return [Histogram.from_values(np.concatenate(s), bins) for s in samples]
+
+
+def reference_ground_depths(frame):
+    """Per-object reference: analytic ground depth at each projected
+    bottom-center pixel, one scalar call at a time."""
+    k = frame.rig.intrinsics
+    out = []
+    for obj in frame.objects:
+        p = bottom_center(obj.box3d, frame.ground)
+        try:
+            px = project_point(p, k)
+            out.append(ground_depth_at_pixel(px, k, frame.ground))
+        except GpkError:
+            continue
+    return out
+
+
+def reference_v_correlation(frames, quantity, perturb=None):
+    """Per-object reference for v_correlation_series: (frame_ids, v, values)."""
+    fids, vs, vals = [], [], []
+    for i, f in enumerate(frames):
+        k = f.rig.intrinsics
+        img_h = f.image_size[0]
+        rot = None
+        if perturb is not None:
+            droll, dpitch = perturb[i]
+            rot = perturbation_rotation(droll, dpitch)
+        att = plane_to_attitude(f.ground)
+        for obj in f.objects:
+            p = bottom_center(obj.box3d, f.ground)
+            if rot is not None:
+                p = rot @ p
+            if p[2] <= 0:
+                continue
+            px = project_point(p, k)
+            if not (0.0 <= px.v < img_h):
+                continue
+            if quantity == "depth":
+                value = float(p[2])
+            elif quantity == "roll":
+                value = att.roll
+            else:
+                value = att.pitch
+            fids.append(f.frame_id)
+            vs.append(px.v)
+            vals.append(value)
+    return fids, np.array(vs), np.array(vals)
+
+
+def edge_case_frame():
+    """Level ground 6 m below the camera, with one box of each kind the
+    analyses drop: behind the camera (projecting into the image rows),
+    within 1e-12 of the horizon, meeting the ground behind the camera, and
+    below the image rows."""
+    k = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=464.0, cy=256.0)
+    boxes = [
+        BBox3D(x=1.0, y=5.25, z=40.0, l=4.0, w=2.0, h=1.5, theta=0.0),
+        BBox3D(x=-3.0, y=5.2, z=25.0, l=4.0, w=2.0, h=1.6, theta=0.5),
+        BBox3D(x=1.0, y=-1.75, z=-10.0, l=4.0, w=2.0, h=1.5, theta=0.0),
+        BBox3D(x=2.0, y=6e-12 - 0.75, z=60.0, l=4.0, w=2.0, h=1.5, theta=0.0),
+        BBox3D(x=0.0, y=-3.0, z=30.0, l=4.0, w=2.0, h=1.5, theta=0.0),
+        BBox3D(x=0.0, y=5.25, z=5.0, l=4.0, w=2.0, h=1.5, theta=0.0),
+    ]
+    objects = tuple(LabeledObject("Car", 0.0, 0, 0.0, (0, 0, 1, 1), b)
+                    for b in boxes)
+    rig = CameraRig(k, CameraExtrinsics(np.eye(3), np.zeros(3)))
+    return FrameRecord("000000", objects, rig, GroundPlane(0.0, -1.0, 0.0, 6.0),
+                       (512, 928))
+
+
+def assert_same_histogram(got, want):
+    assert np.array_equal(got.edges, want.edges)
+    assert np.array_equal(got.counts, want.counts)
+    assert (got.underflow, got.overflow, got.mean) == (
+        want.underflow, want.overflow, want.mean)
+
+
+class TestArrayAnalysesEqualPerObjectReference:
+    @pytest.mark.parametrize("seed", [0, 5, 7])
+    def test_depth_histogram(self, seed):
+        frames = synthesize_scene(SceneConfig(seed=seed))
+        want = [d for f in frames for d in reference_ground_depths(f)]
+        assert_same_histogram(depth_histogram(frames, 64),
+                              Histogram.from_values(want, 64))
+
+    @pytest.mark.parametrize("quantity", ["depth", "roll", "pitch"])
+    @pytest.mark.parametrize("sigma", [None, 0.05, 0.3], ids=["clean", "0.05", "0.3"])
+    @pytest.mark.parametrize("seed", [0, 5, 7])
+    def test_v_correlation_series(self, seed, sigma, quantity):
+        frames = synthesize_scene(SceneConfig(seed=seed))
+        pairs = (None if sigma is None
+                 else perturbation_pairs(len(frames), sigma, seed))
+        got = v_correlation_series(frames, quantity, perturb=pairs)
+        fids, v, values = reference_v_correlation(frames, quantity, pairs)
+        assert got.frame_ids == fids
+        assert np.array_equal(got.v, v)
+        assert np.array_equal(got.values, values)
+
+    def test_dropped_objects(self):
+        frame = edge_case_frame()
+        depths = reference_ground_depths(frame)
+        assert len(depths) == 3  # behind, horizon and sky boxes dropped
+        assert_same_histogram(depth_histogram([frame], 8),
+                              Histogram.from_values(depths, 8))
+        for quantity in ("depth", "pitch"):
+            got = v_correlation_series([frame], quantity)
+            fids, v, values = reference_v_correlation([frame], quantity)
+            assert len(fids) == 4  # behind-camera and below-image boxes dropped
+            assert got.frame_ids == fids
+            assert np.array_equal(got.v, v)
+            assert np.array_equal(got.values, values)
 
 
 class TestHistogram:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import gpk
-from gpk.cli import _load_real_frame, build_parser, main
+from gpk import analysis
+from gpk.cli import _load_real_frame, _perturbation_pairs, build_parser, main
 from gpk.dataio import (
     CameraRig,
     SceneConfig,
@@ -213,6 +214,26 @@ class TestRealFrames:
             assert full != half, name
 
     @pytest.mark.parametrize("command", ["gen-maps", "perturb", "stats"])
+    def test_non_positive_principal_point_needs_resolution(
+            self, tmp_path, capsys, synth, command):
+        calib = synth / "calib_000000.txt"
+        rig = parse_calibration(calib.read_text())
+        k = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=-464.0, cy=-256.0)
+        calib.write_text(serialize_calibration(CameraRig(k, rig.extrinsics)))
+        out = tmp_path / "o"
+        assert run([command, "--out", str(out)] + real_inputs(synth)) == 1
+        assert "give --resolution" in capsys.readouterr().err
+        assert not out.exists()
+        code = run([command, "--out", str(out), "--resolution", "512x928"]
+                   + real_inputs(synth))
+        if command == "perturb":
+            # Past the size check, every bottom center projects above row 0.
+            assert code == 2
+            assert "no visible objects" in capsys.readouterr().err
+        else:
+            assert code == 0
+
+    @pytest.mark.parametrize("command", ["gen-maps", "perturb", "stats"])
     def test_labels_without_calib_exit_1(self, tmp_path, capsys, command):
         out = tmp_path / "o"
         assert run([command, "--out", str(out),
@@ -311,6 +332,50 @@ class TestStats:
         code, maxrss_kib = map(int, proc.stdout.split())
         assert code == 0, proc.stderr
         assert maxrss_kib < 200 * 1024
+
+
+def csv_columns(path):
+    """Header and the columns of a CSV file, the numeric ones as float arrays."""
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    cols = list(zip(*rows))
+    return header, [np.array([float(x) for x in c]) if name not in
+                    ("frame_id", "condition") else list(c)
+                    for name, c in zip(header, cols)]
+
+
+class TestCsvNumbers:
+    """Every numeric CSV field is a plain number equal to the array value."""
+
+    FLEET = ["--seed", "3", "--frames", "3"]
+
+    def test_stats_histograms(self, tmp_path):
+        out = tmp_path / "s"
+        assert run(["stats", "--out", str(out)] + self.FLEET) == 0
+        frames = synthesize_scene(SceneConfig(seed=3, n_frames=3))
+        hists = (analysis.depth_histogram(frames, 64),
+                 *analysis.attitude_histograms(frames, 64, stride=16))
+        for name, hist in zip(("depth", "roll", "pitch", "height"), hists):
+            header, (lo, hi, count) = csv_columns(out / f"hist_{name}.csv")
+            assert header == ["bin_lo", "bin_hi", "count"]
+            assert np.array_equal(lo, hist.edges[:-1])
+            assert np.array_equal(hi, hist.edges[1:])
+            assert np.array_equal(count, hist.counts)
+
+    def test_perturb_scatter_series(self, tmp_path):
+        out = tmp_path / "p"
+        assert run(["perturb", "--out", str(out), "--sigma", "0.05"]
+                   + self.FLEET) == 0
+        frames = synthesize_scene(SceneConfig(seed=3, n_frames=3))
+        pairs = _perturbation_pairs(len(frames), 0.05, 3)
+        for q in analysis.QUANTITIES:
+            for pert in (None, pairs):
+                series = analysis.v_correlation_series(frames, q, perturb=pert)
+                _, (fids, v, values, cond) = csv_columns(
+                    out / f"scatter_{q}_{series.condition}.csv")
+                assert fids == series.frame_ids
+                assert np.array_equal(v, series.v)
+                assert np.array_equal(values, series.values)
+                assert set(cond) == {series.condition}
 
 
 @pytest.mark.parametrize("command", ["perturb", "stats"])

@@ -3,6 +3,8 @@ scene generator's geometric guarantees."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gpk.dataio import (
     SceneConfig,
@@ -131,6 +133,70 @@ class TestGroundPlaneFile:
     def test_degenerate_plane_is_parse_error(self, text):
         with pytest.raises(ParseError):
             parse_ground_plane(text)
+
+
+# Tokens that are mostly numbers, some of them non-finite, out of range or
+# not numbers at all, so that generated files often get past the tokenizer.
+number = st.one_of(
+    st.floats().map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["nan", "-inf", "1e999", "-0", "1e200", "0x1", "1_0", "x"]),
+)
+space = st.sampled_from([" ", "  ", "\t"])
+
+
+@st.composite
+def label_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.sampled_from([14, 15, 15, 15, 16]))
+        fields = [draw(st.sampled_from(["Car", "Van", "0.5"]))]
+        fields += draw(st.lists(number, min_size=n - 1, max_size=n - 1))
+        lines.append(draw(space).join(fields))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@st.composite
+def calibration_texts(draw):
+    pinhole = ["1000", "0", "464", "0", "0", "1000", "256", "0", "0", "0", "1", "0"]
+    identity = ["1", "0", "0", "0", "0", "1", "0", "0", "0", "0", "1", "0"]
+    lines = []
+    for key, base in (("P2", pinhole), ("Tr_world_to_cam", identity),
+                      ("P0", pinhole)):
+        if draw(st.booleans()) and key == "P0":
+            continue
+        row = [draw(st.one_of(st.just(v), number)) if draw(st.booleans()) else v
+               for v in base]
+        lines.append(f"{key}:" + draw(space) + " ".join(row))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+def assert_error_or_fixed_point(parse, serialize, text):
+    """`text` raises ParseError, or parses to an object whose serialized
+    text parses back to the same serialized text."""
+    try:
+        parsed = parse(text)
+    except ParseError:
+        return
+    once = serialize(parsed)
+    assert serialize(parse(once)) == once
+
+
+class TestParserProperties:
+    @given(st.one_of(st.text(), label_texts()))
+    def test_labels(self, text):
+        assert_error_or_fixed_point(parse_labels, serialize_labels, text)
+
+    @given(st.one_of(st.text(), calibration_texts()))
+    def test_calibration(self, text):
+        assert_error_or_fixed_point(parse_calibration, serialize_calibration, text)
+
+    @given(st.one_of(st.text(), st.lists(number, min_size=3, max_size=5)
+                     .flatmap(lambda t: space.map(lambda s: s.join(t)))))
+    @example("1e200 0 0 1")
+    def test_ground_plane(self, text):
+        assert_error_or_fixed_point(parse_ground_plane, serialize_ground_plane,
+                                    text)
 
 
 class TestSceneConfig:

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gpk.errors import (
     BehindCamera,
@@ -30,6 +32,7 @@ from gpk.geometry import (
     attitude_to_plane,
     back_project,
     bottom_center,
+    bottom_centers,
     ground_depth_at_pixel,
     ground_homography,
     perturb_extrinsics,
@@ -37,6 +40,7 @@ from gpk.geometry import (
     plane_from_three_points,
     plane_to_attitude,
     project_point,
+    project_points,
     rotate_plane,
     rotation_pitch,
     rotation_roll,
@@ -236,6 +240,49 @@ class TestBottomCenter:
         b = BBox3D(x=2.0, y=3.0, z=50.0, l=4.0, w=2.0, h=1.6, theta=0.3)
         p = bottom_center(b, g)
         assert np.linalg.norm(p - b.center()) == pytest.approx(0.8, abs=1e-12)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+planes = st.builds(
+    lambda r, p, h: attitude_to_plane(CameraAttitude(r, p, h)),
+    st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(1e-3, 1e3))
+boxes = st.builds(
+    BBox3D, finite, finite, finite, st.floats(1e-6, 1e6), st.floats(1e-6, 1e6),
+    st.floats(0.0, 1e6), st.floats(-math.pi, math.pi, exclude_max=True))
+intrinsics = st.builds(CameraIntrinsics, st.floats(1e-3, 1e5), st.floats(1e-3, 1e5),
+                       st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
+points = st.tuples(finite, finite, st.floats(min_value=0.0, exclude_min=True,
+                                             allow_infinity=False))
+
+
+class TestArrayForms:
+    """Rows of the array forms are bit-equal to the scalar calls and to the
+    scalar expressions written out."""
+
+    @given(st.lists(boxes, max_size=8), planes)
+    def test_bottom_centers_rows(self, bs, g):
+        rows = bottom_centers(bs, g)
+        assert rows.shape == (len(bs), 3)
+        for row, b in zip(rows, bs):
+            with np.errstate(over="ignore"):
+                want = b.center() - 0.5 * b.h * g.normal
+            assert np.array_equal(row, bottom_center(b, g))
+            assert np.array_equal(row, want)
+
+    @given(st.lists(points, max_size=8), intrinsics)
+    def test_project_points_rows(self, ps, k):
+        pixels = project_points(np.array(ps, float).reshape(-1, 3), k)
+        assert pixels.shape == (len(ps), 2)
+        for (u, v), p in zip(pixels, np.array(ps, float).reshape(-1, 3)):
+            with np.errstate(all="ignore"):
+                want = (k.fx * p[0] / p[2] + k.cx, k.fy * p[1] / p[2] + k.cy)
+            assert (u, v) == want
+            if math.isfinite(u) and math.isfinite(v):
+                px = project_point(p, k)
+                assert (px.u, px.v) == (u, v)
+            else:
+                with pytest.raises(ValueError):
+                    project_point(p, k)
 
 
 class TestPerturbation:

@@ -3,6 +3,8 @@ refinement, and GPKM serialization tests."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gpk.errors import (
     AllDegenerate,
@@ -25,6 +27,7 @@ from gpk.geometry import (
 from gpk.mapfile import (
     load_denorm_map,
     load_depth_map,
+    _HEADER,
     pack_map,
     save_denorm_map,
     save_depth_map,
@@ -289,3 +292,34 @@ class TestGpkmFormat:
         blob = pack_map(np.zeros((3, 3), dtype=np.float32), mask)
         _, back = unpack_map(blob)
         assert np.array_equal(back, mask)
+
+
+VALID_BLOBS = [
+    pack_map(np.arange(24, dtype=np.float32).reshape(2, 3, 4)),
+    pack_map(np.ones((3, 5), dtype=np.float32), np.eye(3, 5, dtype=bool)),
+]
+
+
+def assert_returns_or_parse_error(blob):
+    try:
+        unpack_map(blob)
+    except ParseError:
+        pass
+
+
+class TestGpkmProperties:
+    # Half the inputs carry a valid magic and version, so the dimension and
+    # payload checks see arbitrary values. The examples are empty maps of
+    # huge extents, which numpy cannot shape.
+    @given(st.one_of(st.binary(max_size=96), st.binary(max_size=88).map(
+        lambda rest: b"GPKM\x01\x00\x00\x00" + rest)))
+    @example(_HEADER.pack(b"GPKM", 1, 2**32 - 1, 2**32 - 1, 0, 0))
+    @example(_HEADER.pack(b"GPKM", 1, 0, 2**31, 2**31, 0))
+    def test_any_bytes(self, blob):
+        assert_returns_or_parse_error(blob)
+
+    @given(st.sampled_from(VALID_BLOBS), st.data())
+    def test_single_byte_mutations(self, blob, data):
+        i = data.draw(st.integers(0, len(blob) - 1))
+        byte = data.draw(st.integers(0, 255))
+        assert_returns_or_parse_error(blob[:i] + bytes([byte]) + blob[i + 1:])
