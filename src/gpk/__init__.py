@@ -63,7 +63,6 @@ from .errors import (
 from .geometry import (
     BBox3D,
     CameraAttitude,
-    CameraExtrinsics,
     CameraIntrinsics,
     GroundPlane,
     Pixel,
@@ -73,7 +72,6 @@ from .geometry import (
     bottom_center,
     ground_depth_at_pixel,
     ground_homography,
-    perturb_extrinsics,
     perturbation_rotation,
     plane_from_three_points,
     plane_to_attitude,

@@ -8,17 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePlane, ParseError
+from .errors import ConfigError, DegeneratePlane, ParseError, SingularIntrinsics
 from .geometry import (
     BBox3D,
     CameraAttitude,
-    CameraExtrinsics,
     CameraIntrinsics,
     GroundPlane,
     attitude_to_plane,
     project_points,
-    rotation_pitch,
-    rotation_roll,
 )
 
 _N_LABEL_FIELDS = 15
@@ -38,8 +35,10 @@ class LabeledObject:
 
 @dataclass(frozen=True)
 class CameraRig:
+    """A frame's camera: its P2 intrinsics. The pose relative to the road
+    is the frame's ground plane."""
+
     intrinsics: CameraIntrinsics
-    extrinsics: CameraExtrinsics
 
 
 @dataclass(frozen=True)
@@ -123,53 +122,43 @@ def serialize_labels(objects) -> str:
 
 
 def parse_calibration(text: str) -> CameraRig:
-    """Parse 'P2:' (3x4 intrinsic projection) and 'Tr_world_to_cam:' rows."""
-    rows = {}
+    """Parse the 'P2:' row (3x4 projection) of a KITTI-format calibration file.
+
+    Every non-empty line must be 'key: values'. Other rows (P0, P1, P3,
+    R0_rect, Tr_velo_to_cam, Tr_imu_to_velo, ...) are skipped unread, and
+    so is P2's 4th column (a stereo baseline offset).
+    """
+    p = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        if ":" not in line:
+        key, colon, rest = line.partition(":")
+        if not colon:
             raise ParseError("expected 'key: values' line", lineno)
-        key, _, rest = line.partition(":")
+        if key.strip() != "P2":
+            continue
         vals = rest.split()
         if len(vals) != 12:
-            raise ParseError(f"expected 12 values for {key}, got {len(vals)}", lineno)
+            raise ParseError(f"expected 12 values for P2, got {len(vals)}", lineno)
         try:
-            rows[key.strip()] = np.array([float(v) for v in vals]).reshape(3, 4)
+            p = np.array([float(v) for v in vals]).reshape(3, 4)
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
-    if "P2" not in rows:
+    if p is None:
         raise ParseError("missing P2 row")
-    if "Tr_world_to_cam" not in rows:
-        raise ParseError("missing Tr_world_to_cam row")
-    p = rows["P2"]
     if p[0, 1] != 0 or p[1, 0] != 0 or not np.allclose(p[2, :3], [0, 0, 1]):
         raise ParseError("P2 must be a zero-skew pinhole projection")
     try:
         k = CameraIntrinsics(fx=p[0, 0], fy=p[1, 1], cx=p[0, 2], cy=p[1, 2])
-    except Exception as exc:
+    except (ValueError, SingularIntrinsics) as exc:
         raise ParseError(f"bad intrinsics: {exc}") from None
-    tr = rows["Tr_world_to_cam"]
-    try:
-        e = CameraExtrinsics(rotation=tr[:, :3], translation=tr[:, 3])
-    except ValueError as exc:
-        raise ParseError(f"bad extrinsics: {exc}") from None
-    return CameraRig(intrinsics=k, extrinsics=e)
+    return CameraRig(intrinsics=k)
 
 
 def serialize_calibration(rig: CameraRig) -> str:
     k = rig.intrinsics
-    p2 = np.array(
-        [[k.fx, 0.0, k.cx, 0.0], [0.0, k.fy, k.cy, 0.0], [0.0, 0.0, 1.0, 0.0]]
-    )
-    tr = np.hstack(
-        [rig.extrinsics.rotation, rig.extrinsics.translation.reshape(3, 1)]
-    )
-    lines = [
-        "P2: " + " ".join(_fmt(v) for v in p2.reshape(-1)),
-        "Tr_world_to_cam: " + " ".join(_fmt(v) for v in tr.reshape(-1)),
-    ]
-    return "\n".join(lines) + "\n"
+    p2 = (k.fx, 0.0, k.cx, 0.0, 0.0, k.fy, k.cy, 0.0, 0.0, 0.0, 1.0, 0.0)
+    return "P2: " + " ".join(_fmt(v) for v in p2) + "\n"
 
 
 def parse_ground_plane(text: str) -> GroundPlane:
@@ -188,7 +177,7 @@ def parse_ground_plane(text: str) -> GroundPlane:
         raise ParseError(str(exc)) from None
     try:
         return GroundPlane(a, b, c, d)
-    except (ValueError, OverflowError, DegeneratePlane):  # x**2 can overflow
+    except (ValueError, DegeneratePlane):
         pass
     try:
         return GroundPlane.from_raw(a, b, c, d)
@@ -241,15 +230,6 @@ class SceneConfig:
             cx=self.image_width / 2.0,
             cy=self.image_height / 2.0,
         )
-
-
-def _frame_extrinsics(att: CameraAttitude, g: GroundPlane) -> CameraExtrinsics:
-    # World frame: level-camera orientation, origin at the ground point
-    # below the camera. Rotating world->camera by the mounting attitude
-    # and placing the camera `height` above the ground reproduces g.
-    r = rotation_roll(att.roll) @ rotation_pitch(att.pitch)
-    t = -att.height * g.normal
-    return CameraExtrinsics(rotation=r, translation=t)
 
 
 def _sample_box(rng, cfg: SceneConfig, k: CameraIntrinsics, g: GroundPlane):
@@ -325,7 +305,6 @@ def synthesize_scene(cfg: SceneConfig):
             height=rng.uniform(*cfg.height_range),
         )
         g = attitude_to_plane(att)
-        e = _frame_extrinsics(att, g)
         objects = []
         for _ in range(cfg.objects_per_frame):
             box, box2d = _sample_box(rng, cfg, k, g)
@@ -343,7 +322,7 @@ def synthesize_scene(cfg: SceneConfig):
             FrameRecord(
                 frame_id=f"{i:06d}",
                 objects=tuple(objects),
-                rig=CameraRig(intrinsics=k, extrinsics=e),
+                rig=CameraRig(intrinsics=k),
                 ground=g,
                 image_size=(cfg.image_height, cfg.image_width),
             )

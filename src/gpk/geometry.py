@@ -66,26 +66,6 @@ class CameraIntrinsics:
 
 
 @dataclass(frozen=True)
-class CameraExtrinsics:
-    """World-to-camera rigid transform."""
-
-    rotation: np.ndarray  # 3x3 orthonormal
-    translation: np.ndarray  # 3-vector, meters
-
-    def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=float)
-        t = np.asarray(self.translation, dtype=float).reshape(3)
-        if r.shape != (3, 3):
-            raise ValueError("rotation must be 3x3")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
-            raise ValueError("extrinsics must be finite")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9 or np.linalg.det(r) < 0:
-            raise ValueError("rotation must be orthonormal with det +1")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
-
-
-@dataclass(frozen=True)
 class GroundPlane:
     """Plane {p : alpha*x + beta*y + gamma*z + d = 0} in camera coordinates."""
 
@@ -98,7 +78,7 @@ class GroundPlane:
         vals = (self.alpha, self.beta, self.gamma, self.d)
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("plane parameters must be finite")
-        n = math.sqrt(self.alpha**2 + self.beta**2 + self.gamma**2)
+        n = math.hypot(self.alpha, self.beta, self.gamma)
         if abs(n - 1.0) > 1e-12:
             raise ValueError("normal must have unit norm (use GroundPlane.from_raw)")
         if self.d <= 0:
@@ -231,8 +211,13 @@ def plane_from_three_points(p1, p2, p3) -> GroundPlane:
     b = (z2 - z1) * (x3 - x1) - (z3 - z1) * (x2 - x1)
     c = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
     d = -a * x1 - b * y1 - c * z1
-    e1 = math.sqrt((x2 - x1) ** 2 + (y2 - y1) ** 2 + (z2 - z1) ** 2)
-    e2 = math.sqrt((x3 - x1) ** 2 + (y3 - y1) ** 2 + (z3 - z1) ** 2)
+    # Past ~1e154 `**` raises where maps._fit_sub_planes' float_power gives
+    # an infinite edge, and that triple is skipped there as collinear.
+    try:
+        e1 = math.sqrt((x2 - x1) ** 2 + (y2 - y1) ** 2 + (z2 - z1) ** 2)
+        e2 = math.sqrt((x3 - x1) ** 2 + (y3 - y1) ** 2 + (z3 - z1) ** 2)
+    except OverflowError:
+        raise CollinearPoints("edge length overflows") from None
     scale = max(e1 * e2, 1e-300)
     if math.sqrt(a * a + b * b + c * c) <= 1e-9 * scale:
         raise CollinearPoints("points do not span a plane")
@@ -294,22 +279,6 @@ def rotation_pitch(angle: float) -> np.ndarray:
 def perturbation_rotation(droll: float, dpitch: float) -> np.ndarray:
     """Camera-frame rotation offset: R_pitch(dpitch) @ R_roll(droll)."""
     return rotation_pitch(dpitch) @ rotation_roll(droll)
-
-
-def perturb_extrinsics(
-    e: CameraExtrinsics, droll: float, dpitch: float
-) -> CameraExtrinsics:
-    """Apply roll/pitch mounting offsets in the camera frame.
-
-    The translation is kept: mounting points stay put while the head
-    rotates.
-    """
-    if not (math.isfinite(droll) and math.isfinite(dpitch)):
-        raise ValueError("offsets must be finite")
-    if droll == 0.0 and dpitch == 0.0:
-        return e
-    r = perturbation_rotation(droll, dpitch) @ e.rotation
-    return CameraExtrinsics(rotation=r, translation=e.translation.copy())
 
 
 def rotate_plane(g: GroundPlane, droll: float, dpitch: float) -> GroundPlane:

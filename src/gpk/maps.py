@@ -107,7 +107,7 @@ def triangulate_ground_points(points, k: CameraIntrinsics):
     image space, or origin-crossing planes) are dropped and counted.
     """
     points = np.asarray(list(points), dtype=float).reshape(-1, 3)
-    points3d, pixels, planes, skipped = _fit_sub_planes(points, k)
+    points3d, pixels, planes, skipped = _fit_sub_planes(*_in_view(points, k))
     regions = [
         TriangleRegion(pixels=px, plane=GroundPlane(*plane.tolist()), points3d=p3)
         for p3, px, plane in zip(points3d, pixels, planes)
@@ -115,21 +115,29 @@ def triangulate_ground_points(points, k: CameraIntrinsics):
     return regions, skipped
 
 
-def _fit_sub_planes(points: np.ndarray, k: CameraIntrinsics):
-    """Delaunay triangles of the projected (n, 3) points and their sub-planes.
+def _in_view(points: np.ndarray, k: CameraIntrinsics, h=np.inf, w=np.inf):
+    """(points, pixels) of the (n, 3) points in front of the camera whose
+    pixel is finite and within [-w, 2w] x [-h, 2h]: the map grown by its
+    own size on each side. A point just in front of the camera projects
+    far beyond that, and would make Qhull lose the other points."""
+    pixels = project_points(points, k)
+    inside = (pixels >= (-w, -h)) & (pixels <= (2 * w, 2 * h))
+    seen = (points[:, 2] > 0) & (np.isfinite(pixels) & inside).all(axis=1)
+    return points[seen], pixels[seen]
+
+
+def _fit_sub_planes(usable: np.ndarray, pts2d: np.ndarray):
+    """Delaunay triangles of (n, 3) points with (n, 2) pixels, and their
+    sub-planes.
 
     Returns (points3d (T, 3, 3), pixels (T, 3, 2), planes (T, 4), skipped)
-    for the T fitted triangles, in Delaunay order. Points at z <= 0 or
-    projecting to a non-finite pixel are dropped. Every triangle is fitted
+    for the T fitted triangles, in Delaunay order. Every triangle is fitted
     at once with the expressions of plane_from_three_points and
     GroundPlane.from_raw, element by element, so each plane equals theirs
     bit for bit. Skipped and counted: collinear or origin-crossing triples,
     triangles collinear in image space, and planes that miss one of their
     generating points by more than 1e-9 (nearly collinear triples).
     """
-    pts2d = project_points(points, k)
-    seen = (points[:, 2] > 0) & np.isfinite(pts2d).all(axis=1)
-    usable, pts2d = points[seen], pts2d[seen]
     if len(usable) < 3:
         raise InsufficientPoints(f"{len(usable)} usable points, need 3")
     if len(usable) == 3:
@@ -167,10 +175,11 @@ def _fit_sub_planes(points: np.ndarray, k: CameraIntrinsics):
         unit = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
         off = (planes[:, None, 0] * p3[..., 0] + planes[:, None, 1] * p3[..., 1]
                + planes[:, None, 2] * p3[..., 2] + planes[:, None, 3])
+        flat = _signed_area2(p2) == 0.0
     invalid = ~np.isfinite(planes).all(axis=1) | (np.abs(unit - 1.0) > 1e-12)
     if (fitted & invalid).any():
         raise ValueError("fitted plane is not finite with a unit normal")
-    keep = fitted & (_signed_area2(p2) != 0.0) & (np.abs(off) <= 1e-9).all(axis=1)
+    keep = fitted & ~flat & (np.abs(off) <= 1e-9).all(axis=1)
     if not keep.any():
         raise AllDegenerate("all candidate triangles are degenerate")
     return p3[keep], p2[keep], planes[keep], int(keep.size - keep.sum())
@@ -277,21 +286,26 @@ def refine_map(g_initial: GroundPlane, boxes, k: CameraIntrinsics, h: int, w: in
     `planes` is the (T + 1, 4) table of the T fitted sub-planes followed by
     the global plane; `tri_id` is the (h, w) int32 raster of the sub-plane
     owning each pixel, or -1 (the global plane). `planes[tri_id]` is the
-    dense (h, w, 4) map. `stats` counts {'insufficient_points',
-    'degenerate_skipped', 'triangles', 'covered_pixels'}. With fewer than
-    three usable bottom centers no pixel is covered.
+    dense (h, w, 4) map. `stats` counts {'dropped_points',
+    'insufficient_points', 'degenerate_skipped', 'triangles',
+    'covered_pixels'}. Bottom centers behind the camera, or whose pixel is
+    not finite or lies beyond the map by more than its size, are dropped.
+    With fewer than three usable bottom centers no pixel is covered.
     """
     if h <= 0 or w <= 0:
         raise DimensionMismatch("map dimensions must be positive")
-    stats = {"insufficient_points": 0, "degenerate_skipped": 0}
-    pixels, planes = np.empty((0, 3, 2)), np.empty((0, 4))
     points = bottom_centers(boxes, g_initial)
+    usable, pts2d = _in_view(points, k, h, w)
+    stats = {"dropped_points": len(points) - len(usable),
+             "insufficient_points": 0, "degenerate_skipped": 0}
+    pixels, planes = np.empty((0, 3, 2)), np.empty((0, 4))
     try:
-        _, pixels, planes, stats["degenerate_skipped"] = _fit_sub_planes(points, k)
+        _, pixels, planes, skipped = _fit_sub_planes(usable, pts2d)
+        stats["degenerate_skipped"] = skipped
     except InsufficientPoints:
         stats["insufficient_points"] = 1
     except AllDegenerate:
-        stats["degenerate_skipped"] = len(points)
+        stats["degenerate_skipped"] = len(usable)
     tri_id = _rasterize(pixels, h, w)
     stats["triangles"] = len(planes)
     stats["covered_pixels"] = int(np.count_nonzero(tri_id >= 0))

@@ -24,7 +24,6 @@ from gpk.errors import EmptyInput, GpkError, QuantityMismatch
 from gpk.geometry import (
     BBox3D,
     CameraAttitude,
-    CameraExtrinsics,
     CameraIntrinsics,
     GroundPlane,
     attitude_to_plane,
@@ -120,7 +119,7 @@ def edge_case_frame():
     ]
     objects = tuple(LabeledObject("Car", 0.0, 0, 0.0, (0, 0, 1, 1), b)
                     for b in boxes)
-    rig = CameraRig(k, CameraExtrinsics(np.eye(3), np.zeros(3)))
+    rig = CameraRig(k)
     return FrameRecord("000000", objects, rig, GroundPlane(0.0, -1.0, 0.0, 6.0),
                        (512, 928))
 

@@ -15,7 +15,6 @@ from gpk.cli import _load_real_frame, _perturbation_pairs, build_parser, main
 from gpk.dataio import (
     CameraRig,
     SceneConfig,
-    parse_calibration,
     serialize_calibration,
     synthesize_scene,
 )
@@ -116,8 +115,9 @@ class TestGenMaps:
         out = tmp_path / "maps"
         assert run(["gen-maps", "--out", str(out), "--seed", "1",
                     "--stride", "16"] + SMALL) == 0
-        want = dict.fromkeys(("insufficient_points", "degenerate_skipped",
-                              "triangles", "covered_pixels"), 0)
+        want = dict.fromkeys(("dropped_points", "insufficient_points",
+                              "degenerate_skipped", "triangles",
+                              "covered_pixels"), 0)
         cfg = SceneConfig(seed=1, n_frames=3, image_height=64, image_width=116)
         for frame in synthesize_scene(cfg):
             _, _, stats = refine_map(frame.ground, [o.box3d for o in frame.objects],
@@ -192,12 +192,31 @@ class TestRealFrames:
             frame.ground, [o.box3d for o in frame.objects], *frame.map_grid(16))
         assert np.array_equal(refined, planes[tri_id].astype(np.float32))
 
+    def test_calib_with_tr_world_to_cam_gives_the_same_maps(self, tmp_path, synth):
+        # Calibration files written before they became the P2 row alone
+        # carry this frame's Tr_world_to_cam row, which is skipped.
+        calib = synth / "calib_000000.txt"
+        p2_only = calib.read_text()
+        assert p2_only == "P2: 1000 0 464 0 0 1000 256 0 0 0 1 0\n"
+        gen_maps = ["gen-maps", "--stride", "16"] + real_inputs(synth)
+        assert run(gen_maps + ["--out", str(tmp_path / "new")]) == 0
+        calib.write_text(p2_only + (
+            "Tr_world_to_cam: 0.99998863426662266 0.0046982266936999749 "
+            "-0.00081117415484013313 0.029665663924507542 "
+            "-0.0047677392519805024 0.98540902650169526 -0.17013617825555613 "
+            "6.2220950401509558 0 0.17013811199997445 0.98542022652525463 "
+            "1.0742904462463514\n"))
+        assert run(gen_maps + ["--out", str(tmp_path / "old")]) == 0
+        for tag in ("depth", "global", "refined"):
+            name = f"{tag}_000000.gpkm"
+            assert ((tmp_path / "new" / name).read_bytes()
+                    == (tmp_path / "old" / name).read_bytes()), tag
+
     def test_image_size_is_resolution_else_twice_principal_point(
             self, tmp_path, synth):
         calib = synth / "calib_000000.txt"
-        rig = parse_calibration(calib.read_text())
         k = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=640.3, cy=359.8)
-        calib.write_text(serialize_calibration(CameraRig(k, rig.extrinsics)))
+        calib.write_text(serialize_calibration(CameraRig(k)))
         argv = ["stats", "--out", str(tmp_path / "s")] + real_inputs(synth)
         parse = build_parser().parse_args
         assert _load_real_frame(parse(argv)).image_size == (720, 1281)
@@ -217,9 +236,8 @@ class TestRealFrames:
     def test_non_positive_principal_point_needs_resolution(
             self, tmp_path, capsys, synth, command):
         calib = synth / "calib_000000.txt"
-        rig = parse_calibration(calib.read_text())
         k = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=-464.0, cy=-256.0)
-        calib.write_text(serialize_calibration(CameraRig(k, rig.extrinsics)))
+        calib.write_text(serialize_calibration(CameraRig(k)))
         out = tmp_path / "o"
         assert run([command, "--out", str(out)] + real_inputs(synth)) == 1
         assert "give --resolution" in capsys.readouterr().err

@@ -17,7 +17,12 @@ from gpk.dataio import (
     synthesize_scene,
 )
 from gpk.errors import ConfigError, ParseError
-from gpk.geometry import bottom_center, plane_to_attitude, project_point
+from gpk.geometry import (
+    CameraIntrinsics,
+    bottom_center,
+    plane_to_attitude,
+    project_point,
+)
 
 LABEL_LINE = (
     "Car 0.0 0 -1.57 300.5 200.25 420.0 260.75 "
@@ -79,6 +84,27 @@ class TestLabels:
         assert serialize_labels([]) == ""
 
 
+# A KITTI-layout calibration file, as DAIR-V2X-I and Rope3D ship them. P2's
+# 4th column (a stereo offset) is not read.
+KITTI_CALIB = """\
+P0: 2186.4 0 968.3 0 0 2332.3 542.6 0 0 0 1 0
+P1: 2186.4 0 968.3 -386.1 0 2332.3 542.6 0 0 0 1 0
+P2: 2186.359 0 968.276 44.857 0 2332.316 542.554 0.216 0 0 1 0.002745
+P3: 2186.4 0 968.3 -337.6 0 2332.3 542.6 2.3 0 0 1 0.0049
+R0_rect: 1 0 0 0 1 0 0 0 1
+Tr_velo_to_cam: 0.0066 -0.9999 -0.0053 -0.0164 -0.1679 0.0041 -0.9858 6.4613 0.9858 0.0073 -0.1679 1.2437
+Tr_imu_to_velo: 1 0 0 -0.81 0 1 0 0.32 0 0 1 -0.80
+"""
+P2_ONLY = "P2: 1000 0 464 0 0 1000 256 0 0 0 1 0\n"
+# What `synth --seed 2 --frames 1` wrote for frame 0 before calibration
+# files became the P2 row alone.
+WITH_TR_WORLD_TO_CAM = P2_ONLY + (
+    "Tr_world_to_cam: 0.99998863426662266 0.0046982266936999749 "
+    "-0.00081117415484013313 0.029665663924507542 -0.0047677392519805024 "
+    "0.98540902650169526 -0.17013617825555613 6.2220950401509558 0 "
+    "0.17013811199997445 0.98542022652525463 1.0742904462463514\n")
+
+
 class TestCalibration:
     def test_round_trip(self):
         frames = synthesize_scene(SceneConfig(seed=1, n_frames=1,
@@ -87,12 +113,28 @@ class TestCalibration:
         rig = parse_calibration(text)
         assert serialize_calibration(rig) == text
         assert rig.intrinsics == frames[0].rig.intrinsics
-        assert np.array_equal(rig.extrinsics.rotation,
-                              frames[0].rig.extrinsics.rotation)
+
+    def test_kitti_layout_reads_p2(self):
+        rig = parse_calibration(KITTI_CALIB)
+        assert rig.intrinsics == CameraIntrinsics(
+            fx=2186.359, fy=2332.316, cx=968.276, cy=542.554)
+
+    def test_p2_only(self):
+        rig = parse_calibration(P2_ONLY)
+        assert rig.intrinsics == CameraIntrinsics(1000.0, 1000.0, 464.0, 256.0)
+        assert serialize_calibration(rig) == P2_ONLY
+
+    def test_tr_world_to_cam_row_is_skipped(self):
+        assert parse_calibration(WITH_TR_WORLD_TO_CAM) == parse_calibration(P2_ONLY)
 
     def test_missing_row(self):
-        with pytest.raises(ParseError):
-            parse_calibration("P2: " + " ".join(["1"] * 12))
+        with pytest.raises(ParseError, match="missing P2"):
+            parse_calibration(KITTI_CALIB.replace("P2:", "P4:"))
+
+    def test_line_without_key_names_it(self):
+        with pytest.raises(ParseError) as err:
+            parse_calibration(P2_ONLY + "\nR0_rect 1 0 0 0 1 0 0 0 1\n")
+        assert err.value.line == 3
 
     def test_skew_rejected(self):
         p2 = [1000, 5, 464, 0, 0, 1000, 256, 0, 0, 0, 1, 0]
@@ -105,6 +147,9 @@ class TestCalibration:
     def test_bad_value_count(self):
         with pytest.raises(ParseError):
             parse_calibration("P2: 1 2 3\n")
+        with pytest.raises(ParseError) as err:
+            parse_calibration(KITTI_CALIB.replace(" 0.002745", ""))
+        assert err.value.line == 3
 
 
 class TestGroundPlaneFile:
@@ -160,10 +205,12 @@ def label_texts(draw):
 def calibration_texts(draw):
     pinhole = ["1000", "0", "464", "0", "0", "1000", "256", "0", "0", "0", "1", "0"]
     identity = ["1", "0", "0", "0", "0", "1", "0", "0", "0", "0", "1", "0"]
+    rect = ["1", "0", "0", "0", "1", "0", "0", "0", "1"]
     lines = []
     for key, base in (("P2", pinhole), ("Tr_world_to_cam", identity),
-                      ("P0", pinhole)):
-        if draw(st.booleans()) and key == "P0":
+                      ("P0", pinhole), ("R0_rect", rect),
+                      ("Tr_velo_to_cam", identity)):
+        if key != "P2" and draw(st.booleans()):
             continue
         row = [draw(st.one_of(st.just(v), number)) if draw(st.booleans()) else v
                for v in base]
@@ -255,17 +302,6 @@ class TestSynthesis:
             assert cfg.roll_range[0] <= att.roll <= cfg.roll_range[1]
             assert cfg.pitch_range[0] <= att.pitch <= cfg.pitch_range[1]
             assert cfg.height_range[0] <= att.height <= cfg.height_range[1]
-
-    def test_extrinsics_reproduce_ground_plane(self):
-        # The stored world-to-camera transform must map the world plane
-        # y_w = 0 (level ground) onto the frame's camera-space plane.
-        for f in synthesize_scene(self.CFG):
-            r, t = f.rig.extrinsics.rotation, f.rig.extrinsics.translation
-            n_cam = r @ np.array([0.0, -1.0, 0.0])  # world up is -y
-            assert np.allclose(n_cam, f.ground.normal, atol=1e-12)
-            # Camera origin in world coords sits `height` above the plane.
-            cam_in_world = -r.T @ t
-            assert -cam_in_world[1] == pytest.approx(f.ground.d, abs=1e-9)
 
     def test_box2d_contains_bottom_center_projection(self):
         for f in synthesize_scene(self.CFG):

@@ -24,7 +24,6 @@ from gpk.errors import (
 from gpk.geometry import (
     BBox3D,
     CameraAttitude,
-    CameraExtrinsics,
     CameraIntrinsics,
     GroundPlane,
     Pixel,
@@ -35,7 +34,6 @@ from gpk.geometry import (
     bottom_centers,
     ground_depth_at_pixel,
     ground_homography,
-    perturb_extrinsics,
     perturbation_rotation,
     plane_from_three_points,
     plane_to_attitude,
@@ -99,6 +97,11 @@ class TestGroundPlane:
     def test_rejects_origin_on_plane(self):
         with pytest.raises(DegeneratePlane):
             GroundPlane.from_raw(0.0, -1.0, 0.0, 0.0)
+
+    def test_huge_component_is_value_error(self):
+        # Its square overflows a float: the norm check must not.
+        with pytest.raises(ValueError, match="unit norm"):
+            GroundPlane(1e200, 0.0, 0.0, 1.0)
 
     def test_signed_distance(self):
         g = GroundPlane(0.0, -1.0, 0.0, 5.0)
@@ -191,6 +194,12 @@ class TestPlaneFit:
     def test_collinear_rejected(self):
         with pytest.raises(CollinearPoints):
             plane_from_three_points([0, 1, 1], [0, 1, 2], [0, 1, 3])
+
+    def test_overflowing_edges_are_collinear(self):
+        # The edge lengths' squares overflow a float; maps._fit_sub_planes
+        # classifies the same triple as collinear.
+        with pytest.raises(CollinearPoints):
+            plane_from_three_points((0, 0, 0), (1e200, 0, 0), (0, 1e200, 0))
 
     def test_near_collinear_scale_invariant(self):
         # Collinearity is judged relative to edge lengths, not absolutely.
@@ -286,24 +295,6 @@ class TestArrayForms:
 
 
 class TestPerturbation:
-    def test_zero_offsets_identity(self):
-        e = CameraExtrinsics(rotation=np.eye(3), translation=np.zeros(3))
-        assert perturb_extrinsics(e, 0.0, 0.0) is e
-
-    def test_translation_unchanged(self):
-        e = CameraExtrinsics(
-            rotation=rotation_pitch(0.2), translation=np.array([1.0, 2.0, 3.0])
-        )
-        e2 = perturb_extrinsics(e, 0.05, -0.03)
-        assert np.array_equal(e2.translation, e.translation)
-
-    def test_inverse_composition(self):
-        e = CameraExtrinsics(rotation=rotation_roll(0.1) @ rotation_pitch(0.2),
-                             translation=np.array([0.0, -6.0, 0.0]))
-        fwd = perturb_extrinsics(e, 0.04, 0.0)
-        back = perturb_extrinsics(fwd, -0.04, 0.0)
-        assert np.allclose(back.rotation, e.rotation, atol=1e-12)
-
     def test_rotate_plane_preserves_distance(self):
         rng = np.random.default_rng(2)
         for _ in range(100):

@@ -235,8 +235,9 @@ class TestRefinement:
         assert want.sum() > 20
         planes, tri_id, stats = refine_map(FLAT, boxes, self.K8, 64, 116)
         m = DenormMap(planes[tri_id])
-        assert stats == {"insufficient_points": 0, "degenerate_skipped": 0,
-                         "triangles": 1, "covered_pixels": int(want.sum())}
+        assert stats == {"dropped_points": 0, "insufficient_points": 0,
+                         "degenerate_skipped": 0, "triangles": 1,
+                         "covered_pixels": int(want.sum())}
         changed = np.any(m.data != FLAT.params(), axis=2)
         assert np.array_equal(changed, want)
         sub_plane = plane_from_three_points(*points).params()

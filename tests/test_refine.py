@@ -123,19 +123,31 @@ def reference_raster(triangles, h: int, w: int) -> np.ndarray:
     return tri_id
 
 
+def in_map(p, k, h, w):
+    """Whether refine_map keeps the bottom center p: in front of the
+    camera, with a finite pixel in the map grown by its size each side."""
+    try:
+        px = project_point(np.asarray(p, dtype=float), k)
+    except (NonPositiveDepth, ValueError):
+        return False
+    return -w <= px.u <= 2 * w and -h <= px.v <= 2 * h
+
+
 def reference_refine(g_initial, boxes, k, h, w):
     """The earlier refine_map, counting triangles and written pixels too."""
-    stats = {"insufficient_points": 0, "degenerate_skipped": 0,
-             "triangles": 0, "covered_pixels": 0}
+    stats = {"dropped_points": 0, "insufficient_points": 0,
+             "degenerate_skipped": 0, "triangles": 0, "covered_pixels": 0}
     m = build_global_denorm_map(g_initial, h, w)
     points = [bottom_center(b, g_initial) for b in boxes]
+    kept = [p for p in points if in_map(p, k, h, w)]
+    stats["dropped_points"] = len(points) - len(kept)
     try:
-        regions, skipped = reference_triangulate(points, k)
+        regions, skipped = reference_triangulate(kept, k)
     except InsufficientPoints:
         stats["insufficient_points"] = 1
         return m, stats
     except AllDegenerate:
-        stats["degenerate_skipped"] = len(points)
+        stats["degenerate_skipped"] = len(kept)
         return m, stats
     stats["degenerate_skipped"] = skipped
     stats["triangles"] = len(regions)
@@ -210,8 +222,37 @@ def test_point_projecting_to_a_non_finite_pixel_is_dropped():
               [0.0, 6.0, 1.1e-308]]
     stats = refine_like_reference(points)
     assert stats["triangles"] == 1 and stats["degenerate_skipped"] == 0
+    assert stats["dropped_points"] == 1
     stats = refine_like_reference(points[2:])
     assert stats["insufficient_points"] == 1
+
+
+@pytest.mark.parametrize("z", [1e-12, 1e-300])
+def test_near_camera_label_is_dropped(z):
+    # Its bottom center projects ~1e14 (or ~1e302) pixels off the map.
+    # Kept, it made Qhull lose the frame's other points: 8 of 68 triangles
+    # at z = 1e-12, and none at all at z = 1e-300.
+    frame = synthesize_scene(SceneConfig(seed=0, n_frames=1))[0]
+    k, h, w = frame.map_grid(16)
+    boxes = [o.box3d for o in frame.objects]
+    planes, tri_id, stats = refine_map(frame.ground, boxes, k, h, w)
+    assert (stats["triangles"], stats["covered_pixels"]) == (68, 687)
+    near = BBox3D(x=1.0, y=2.0, z=z, l=4.0, w=1.8, h=0.0, theta=0.0)
+    got_planes, got_tri_id, got = refine_map(frame.ground, boxes + [near],
+                                             k, h, w)
+    assert np.array_equal(got_planes, planes)
+    assert np.array_equal(got_tri_id, tri_id)
+    assert got == {**stats, "dropped_points": 1}
+
+
+def test_overflowing_triple_is_skipped_like_reference():
+    # Squared edge lengths overflow: plane_from_three_points calls the
+    # triple collinear, and the vectorized fit must skip it too.
+    points = [(0.0, 0.0, 1.0), (1e200, 0.0, 1.0), (0.0, 1e200, 1.0)]
+    k = CameraIntrinsics(fx=62.5, fy=62.5, cx=29.0, cy=16.0)
+    for triangulate in (triangulate_ground_points, reference_triangulate):
+        with pytest.raises(AllDegenerate):
+            triangulate(points, k)
 
 
 # Vertex coordinates around a 24 x 32 map: some triangles fall off it.
@@ -336,13 +377,15 @@ def test_degenerate_point_sets_give_a_finite_map(points):
              for x, y, z in points]
     planes, tri_id, stats = refine_map(GROUND, boxes, K_MAP, H, W)
     assert np.isfinite(planes[tri_id]).all()
+    kept = [p for p in points if in_map(p, K_MAP, H, W)]
+    assert stats["dropped_points"] == len(points) - len(kept)
     try:
-        regions, skipped = triangulate_ground_points(points, K_MAP)
+        regions, skipped = triangulate_ground_points(kept, K_MAP)
     except InsufficientPoints:
         assert stats["insufficient_points"] == 1 and stats["triangles"] == 0
         return
     except AllDegenerate:
-        assert stats["degenerate_skipped"] == len(points)
+        assert stats["degenerate_skipped"] == len(kept)
         assert stats["triangles"] == 0
         return
     assert stats["triangles"] == len(regions)
