@@ -122,6 +122,16 @@ def _parse_resolution(text: str):
     return h, w
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError("seed must be >= 0")
+    return seed
+
+
 def _load_config_file(path) -> dict:
     """key=value lines; '#' comments; values parsed as int/float/str."""
     cfg = {}
@@ -153,14 +163,14 @@ def _scene_config(args) -> SceneConfig:
         for key, val in file_cfg.items():
             # Ranges are spelled as e.g. pitch_lo = 0.165 / pitch_hi = 0.185.
             base, _, which = key.rpartition("_")
-            if key in known:
+            if key in known and which != "range":
                 values[key] = val
             elif which in ("lo", "hi") and f"{base}_range" in known:
                 name = f"{base}_range"
                 lo_hi = values.setdefault(
                     name, list(getattr(SceneConfig, name))
                 )
-                lo_hi[0 if which == "lo" else 1] = float(val)
+                lo_hi[0 if which == "lo" else 1] = val
             else:
                 raise ParseError(f"unknown config key {key!r}")
     for name in ("roll_range", "pitch_range", "height_range", "depth_range"):
@@ -429,7 +439,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p, with_inputs=True):
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="master RNG seed")
+    p.add_argument("--seed", type=_parse_seed, default=None,
+                   help="master RNG seed (>= 0)")
     p.add_argument("--config", default=None,
                    help="key=value config file (flags win)")
     p.add_argument("--frames", type=int, default=None,
@@ -483,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_losses)
 
     p = sub.add_parser("check-attn", help="run attention invariant suite")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_parse_seed, default=None)
     p.add_argument("--out", default=None,
                    help="optional directory for the JSON fixture")
     p.set_defaults(func=cmd_check_attn)

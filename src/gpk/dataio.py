@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,11 @@ from .geometry import (
 _N_LABEL_FIELDS = 15
 # (length, width, height) signs of a box's 8 corners, height varying fastest.
 _CORNER_SIGNS = np.array(list(itertools.product((-0.5, 0.5), repeat=3)))
+# Ranges of a synthetic box's shape draws, in stream order: length, width,
+# height, yaw.
+_SHAPE_LO = np.array([3.8, 1.6, 1.4, -math.pi])
+_SHAPE_HI = np.array([4.6, 2.0, 1.7, math.pi])
+_MAX_ATTEMPTS = 1000  # per object, before a scene counts as unplaceable
 
 
 @dataclass(frozen=True)
@@ -179,14 +185,27 @@ def parse_ground_plane(text: str) -> GroundPlane:
         return GroundPlane(a, b, c, d)
     except (ValueError, DegeneratePlane):
         pass
+    # from_raw squares the normal, which overflows past ~1e154 and rounds
+    # to subnormals below ~1e-154. Scaling all four by a power of two first
+    # is exact, so every plane between those keeps its bits.
+    _, e = math.frexp(max(abs(a), abs(b), abs(c)))
     try:
-        return GroundPlane.from_raw(a, b, c, d)
+        return GroundPlane.from_raw(*(math.ldexp(v, -e) for v in (a, b, c, d)))
+    except OverflowError:  # only d can overflow: the scaled normal is below 1
+        raise ParseError("bad ground plane: d is too large for its normal") from None
     except (ValueError, DegeneratePlane) as exc:
         raise ParseError(f"bad ground plane: {exc}") from None
 
 
 def serialize_ground_plane(g: GroundPlane) -> str:
     return " ".join(_fmt(v) for v in g.params()) + "\n"
+
+
+def _is_finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except (TypeError, OverflowError):  # not a number, or an int past float
+        return False
 
 
 @dataclass(frozen=True)
@@ -206,22 +225,37 @@ class SceneConfig:
     edge_margin: float = 16.0
 
     def __post_init__(self):
+        for name in ("n_frames", "objects_per_frame", "image_height",
+                     "image_width"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value <= 0:
+                raise ConfigError(f"{name} must be a positive integer, "
+                                  f"got {value!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer, "
+                              f"got {self.seed!r}")
+        for name in ("focal", "edge_margin"):
+            if not _is_finite(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, "
+                                  f"got {getattr(self, name)!r}")
+        if self.focal <= 0:
+            raise ConfigError(f"focal must be positive, got {self.focal!r}")
         for name in ("roll_range", "pitch_range", "height_range", "depth_range"):
             lo, hi = getattr(self, name)
+            if not (_is_finite(lo) and _is_finite(hi)):
+                raise ConfigError(f"{name} must be two finite numbers, "
+                                  f"got ({lo!r}, {hi!r})")
             if not (lo <= hi):
                 raise ConfigError(f"{name} is empty: ({lo}, {hi})")
-        if self.n_frames <= 0 or self.objects_per_frame <= 0:
-            raise ConfigError("frame and object counts must be positive")
-        if self.image_height <= 0 or self.image_width <= 0:
-            raise ConfigError("image size must be positive")
+        if self.depth_range[0] <= 0:
+            raise ConfigError("depth_range must lie in front of the camera, "
+                              f"got lo = {self.depth_range[0]}")
         if min(self.image_height, self.image_width) <= 2 * self.edge_margin:
             # Objects are placed at least edge_margin pixels from every border.
             raise ConfigError(
                 f"image size {self.image_height}x{self.image_width} must exceed "
                 f"2 * edge_margin = {2 * self.edge_margin:g} pixels per side"
             )
-        if self.focal <= 0:
-            raise ConfigError("focal length must be positive")
 
     def intrinsics(self) -> CameraIntrinsics:
         return CameraIntrinsics(
@@ -232,59 +266,95 @@ class SceneConfig:
         )
 
 
-def _sample_box(rng, cfg: SceneConfig, k: CameraIntrinsics, g: GroundPlane):
-    # The inverse of geometry.bottom_centers and project_points: a pixel
-    # column and depth give the bottom center on the plane, the row test
-    # reprojects it, and the box center sits h/2 up the normal from it.
-    h_img, w_img = cfg.image_height, cfg.image_width
-    m = cfg.edge_margin
-    for _ in range(1000):
-        z = rng.uniform(*cfg.depth_range)
-        u = rng.uniform(m, w_img - m)
-        x = (u - k.cx) * z / k.fx
-        if abs(g.beta) < 1e-9:
-            raise ConfigError("vertical ground plane in synthetic scene")
-        y = -(g.alpha * x + g.gamma * z + g.d) / g.beta
-        v = k.fy * y / z + k.cy
-        if not (m <= v <= h_img - m):
-            continue
-        bottom = np.array([x, y, z])
-        length = rng.uniform(3.8, 4.6)
-        width = rng.uniform(1.6, 2.0)
-        height = rng.uniform(1.4, 1.7)
-        theta = rng.uniform(-math.pi, math.pi)
-        center = bottom + 0.5 * height * g.normal
-        box = BBox3D(
-            x=center[0], y=center[1], z=center[2],
-            l=length, w=width, h=height, theta=theta,
-        )
-        box2d = _project_box2d(box, g, k, h_img, w_img)
-        if box2d is None:
-            continue
-        return box, box2d
-    raise ConfigError("could not place an object inside the image")
+def _ground_points(r, cfg: SceneConfig, k: CameraIntrinsics, g: GroundPlane):
+    """Each (depth, column) pair of draws in `r` as a bottom center (x, y, z)
+    on the plane, and whether its image row lies inside the margins."""
+    m = float(cfg.edge_margin)
+    lo, hi = (float(v) for v in cfg.depth_range)
+    z = lo + (hi - lo) * r[0::2]
+    u = m + (float(cfg.image_width - cfg.edge_margin) - m) * r[1::2]
+    x = (u - k.cx) * z / k.fx
+    y = -(g.alpha * x + g.gamma * z + g.d) / g.beta
+    v = k.fy * y / z + k.cy
+    in_rows = (m <= v) & (v <= cfg.image_height - m)
+    return np.stack([x, y, z], axis=1), in_rows.tolist()
 
 
-def _project_box2d(box: BBox3D, g: GroundPlane, k: CameraIntrinsics, h_img, w_img):
+def _place_boxes(r, starts, bottoms, cfg: SceneConfig, k, g: GroundPlane):
+    """(BBox3D, box2d) of the attempts whose (depth, column) pair is at each
+    of `starts`, or None where the box's 2D box is empty. Their shape draws
+    are the next two pairs: (length, width) and (height, yaw)."""
     up = g.normal
     fwd = np.array([0.0, 0.0, 1.0]) - up[2] * up
     fwd /= np.linalg.norm(fwd)
     right = np.cross(up, fwd)
-    heading = math.cos(box.theta) * fwd + math.sin(box.theta) * right
+    s = np.array(starts)
+    l, w, h, theta = (_SHAPE_LO + (_SHAPE_HI - _SHAPE_LO)
+                      * r[2 * s[:, None] + 2 + np.arange(4)]).T
+    # The box center sits h/2 up the normal from its bottom center.
+    center = bottoms[s] + (0.5 * h)[:, None] * up
+    cos = np.array([math.cos(t) for t in theta.tolist()])[:, None]
+    sin = np.array([math.sin(t) for t in theta.tolist()])[:, None]
+    heading = cos * fwd + sin * right
     side = np.cross(up, heading)
-    sl, sw, sh = _CORNER_SIGNS.T[:, :, None]
-    corners = (box.center() + (sl * box.l) * heading + (sw * box.w) * side
-               + (sh * box.h) * up)
-    if (corners[:, 2] <= 0).any():
-        return None
-    us, vs = project_points(corners, k).T
-    left = max(us.min(), 0.0)
-    right2d = min(us.max(), float(w_img))
-    top = max(vs.min(), 0.0)
-    bottom2d = min(vs.max(), float(h_img))
-    if left >= right2d or top >= bottom2d:
-        return None
-    return (left, top, right2d, bottom2d)
+    half = _CORNER_SIGNS * np.stack([l, w, h], axis=1)[:, None]  # (n, 8, 3)
+    corners = (center[:, None] + half[..., :1] * heading[:, None]
+               + half[..., 1:2] * side[:, None] + half[..., 2:] * up)
+    px = project_points(corners, k).reshape(len(starts), 8, 2)
+    lo, hi = px.min(axis=1), px.max(axis=1)
+    size = np.array([cfg.image_width, cfg.image_height], float)
+    left_top = np.where(0.0 > lo, 0.0, lo)
+    right_bottom = np.where(size < hi, size, hi)
+    empty = ((corners[..., 2] <= 0).any(axis=1)
+             | (left_top >= right_bottom).any(axis=1))
+    rows = np.column_stack([center, l, w, h, theta]).tolist()
+    box2d = np.hstack([left_top, right_bottom]).tolist()
+    return [None if e else (BBox3D(*row), tuple(b))
+            for e, row, b in zip(empty.tolist(), rows, box2d)]
+
+
+def _sample_boxes(rng, cfg: SceneConfig, k: CameraIntrinsics, g: GroundPlane):
+    """A frame's objects as (BBox3D, box2d) pairs, by rejection sampling.
+
+    An attempt draws a depth and a pixel column, puts the bottom center on
+    the plane there, and is rejected if its row falls outside the margins;
+    an accepted attempt draws (length, width) and (height, yaw), and is
+    retried if its 2D box is empty. A draw `rng.uniform(lo, hi)` is
+    `lo + (hi - lo)·u` with u the stream's next double, so the frame draws
+    its doubles in one block, tests every pair's row at once, and walks
+    the block: one pair on a rejection, three on an acceptance. Nothing
+    draws from `rng` after the objects, so the unused end of the block
+    changes nothing.
+    """
+    if abs(g.beta) < 1e-9:
+        raise ConfigError("vertical ground plane in synthetic scene")
+    n = cfg.objects_per_frame
+    r = np.empty(0)
+    boxes, starts, failures = [], [], []
+    j = failed = 0  # the next pair; failed attempts of the object being placed
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(boxes) < n:
+            if failed == _MAX_ATTEMPTS:
+                raise ConfigError("could not place an object inside the image")
+            if 2 * j + 6 > r.size:
+                r = np.concatenate([r, rng.random(max(r.size, 8 * n + 64))])
+                bottoms, in_rows = _ground_points(r, cfg, k, g)
+            if in_rows[j]:
+                starts.append(j)
+                failures.append(failed)
+                j, failed = j + 3, 0
+            else:
+                j, failed = j + 1, failed + 1
+            if len(boxes) + len(starts) < n:
+                continue
+            placed = _place_boxes(r, starts, bottoms, cfg, k, g)
+            for start, before, box in zip(starts, failures, placed):
+                if box is None:  # retry this object from the pair after it
+                    j, failed = start + 3, before + 1
+                    break
+                boxes.append(box)
+            starts, failures = [], []
+    return boxes
 
 
 def synthesize_scene(cfg: SceneConfig):
@@ -305,19 +375,11 @@ def synthesize_scene(cfg: SceneConfig):
             height=rng.uniform(*cfg.height_range),
         )
         g = attitude_to_plane(att)
-        objects = []
-        for _ in range(cfg.objects_per_frame):
-            box, box2d = _sample_box(rng, cfg, k, g)
-            objects.append(
-                LabeledObject(
-                    category="Car",
-                    truncated=0.0,
-                    occluded=0,
-                    alpha=0.0,
-                    box2d=box2d,
-                    box3d=box,
-                )
-            )
+        objects = [
+            LabeledObject(category="Car", truncated=0.0, occluded=0, alpha=0.0,
+                          box2d=box2d, box3d=box)
+            for box, box2d in _sample_boxes(rng, cfg, k, g)
+        ]
         frames.append(
             FrameRecord(
                 frame_id=f"{i:06d}",

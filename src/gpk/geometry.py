@@ -253,7 +253,7 @@ def bottom_centers(boxes, g: GroundPlane) -> np.ndarray:
 
     Roadside cameras are pitched, so "down" is the negated ground normal
     rather than camera +y. This is the one place that reads a box's
-    location as its center; dataio._sample_box places boxes by the inverse.
+    location as its center; dataio._sample_boxes places boxes by the inverse.
     """
     rows = np.array([(b.x, b.y, b.z, b.h) for b in boxes], float).reshape(-1, 4)
     return rows[:, :3] - (0.5 * rows[:, 3:]) * g.normal

@@ -444,6 +444,32 @@ class TestSynth:
         assert run(["synth", "--out", str(tmp_path / "d"), "--config",
                     str(cfg)]) == 1
 
+    @pytest.mark.parametrize("command,text,field", [
+        ("synth", "objects_per_frame = 4.5", "objects_per_frame"),
+        ("synth", "n_frames = 2.5", "n_frames"),
+        ("gen-maps", "image_height = 300.5", "image_height"),
+        ("synth", "edge_margin = abc", "edge_margin"),
+        ("synth", "depth_lo = 0\ndepth_hi = 0", "depth_range"),
+        ("synth", "focal = nan", "focal"),
+        ("synth", "pitch_lo = abc", "pitch_range"),
+        ("synth", "pitch_range = 0.2", "pitch_range"),
+    ])
+    def test_invalid_config_value_exit_1(self, tmp_path, capsys, command, text,
+                                         field):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(text + "\n")
+        out = tmp_path / "d"
+        extra = ["--stride", "16"] if command == "gen-maps" else []
+        assert run([command, "--out", str(out), "--config", str(cfg)]
+                   + extra) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "stats", "check-attn"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        out = ["--out", str(tmp_path / "d")] if command != "check-attn" else []
+        assert usage_exit_code([command, "--seed", "-3"] + out, capsys) == 1
+
 
 class TestLosses:
     def test_identical_files_zero_total(self, tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Label/calibration/ground-plane file round-trips and the synthetic
 scene generator's geometric guarantees."""
 
+import itertools
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -18,10 +22,15 @@ from gpk.dataio import (
 )
 from gpk.errors import ConfigError, ParseError
 from gpk.geometry import (
+    BBox3D,
+    CameraAttitude,
     CameraIntrinsics,
+    GroundPlane,
+    attitude_to_plane,
     bottom_center,
     plane_to_attitude,
     project_point,
+    project_points,
 )
 
 LABEL_LINE = (
@@ -174,10 +183,17 @@ class TestGroundPlaneFile:
             assert parse_ground_plane(text) == frame.ground, frame.frame_id
             assert serialize_ground_plane(parse_ground_plane(text)) == text
 
-    @pytest.mark.parametrize("text", ["0 0 0 5", "0 -1 0 0", "nan -1 0 6"])
+    @pytest.mark.parametrize("text", ["0 0 0 5", "0 -1 0 0", "nan -1 0 6",
+                                      "0 -1e-300 0 1e300"])
     def test_degenerate_plane_is_parse_error(self, text):
         with pytest.raises(ParseError):
             parse_ground_plane(text)
+
+    @pytest.mark.parametrize("scale", ["e200", "e-200"])
+    def test_plane_at_any_scale_normalizes(self, scale):
+        # Squaring a normal of 1e200 overflows and one of 1e-200 underflows.
+        g = parse_ground_plane(f"0 -1{scale} 0 6{scale}")
+        assert g == GroundPlane(0.0, -1.0, 0.0, 6.0)
 
 
 # Tokens that are mostly numbers, some of them non-finite, out of range or
@@ -259,6 +275,18 @@ class TestSceneConfig:
         with pytest.raises(ConfigError):
             SceneConfig(n_frames=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("objects_per_frame", 4.5), ("n_frames", 2.5), ("image_height", 300.5),
+        ("image_width", "928"), ("seed", -3), ("seed", 1.0),
+        ("focal", float("nan")), ("focal", float("inf")), ("focal", 0.0),
+        ("edge_margin", "abc"), ("edge_margin", float("inf")),
+        ("depth_range", (0, 0)), ("depth_range", (-5.0, 10.0)),
+        ("depth_range", (10.0, float("inf"))), ("pitch_range", ("abc", 0.2)),
+    ])
+    def test_invalid_value_names_its_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SceneConfig(**{field: value})
+
     @pytest.mark.parametrize("h,w", [(8, 8), (32, 928), (512, 32)])
     def test_image_must_exceed_edge_margins(self, h, w):
         with pytest.raises(ConfigError, match="edge_margin"):
@@ -320,3 +348,149 @@ class TestSynthesis:
                                             objects_per_frame=8))
         for fs, fl in zip(short, long):
             assert serialize_labels(fs.objects) == serialize_labels(fl.objects)
+
+
+# The per-object rejection sampler that synthesis used before it drew each
+# frame's objects from one block of draws; the array sampler must reproduce
+# its random stream, its boxes and its errors exactly.
+_REF_CORNER_SIGNS = np.array(list(itertools.product((-0.5, 0.5), repeat=3)))
+
+
+def _reference_sample_box(rng, cfg, k, g, rejected):
+    h_img, w_img = cfg.image_height, cfg.image_width
+    m = cfg.edge_margin
+    for _ in range(1000):
+        z = rng.uniform(*cfg.depth_range)
+        u = rng.uniform(m, w_img - m)
+        x = (u - k.cx) * z / k.fx
+        if abs(g.beta) < 1e-9:
+            raise ConfigError("vertical ground plane in synthetic scene")
+        y = -(g.alpha * x + g.gamma * z + g.d) / g.beta
+        v = k.fy * y / z + k.cy
+        if not (m <= v <= h_img - m):
+            continue
+        bottom = np.array([x, y, z])
+        length = rng.uniform(3.8, 4.6)
+        width = rng.uniform(1.6, 2.0)
+        height = rng.uniform(1.4, 1.7)
+        theta = rng.uniform(-math.pi, math.pi)
+        center = bottom + 0.5 * height * g.normal
+        box = BBox3D(
+            x=center[0], y=center[1], z=center[2],
+            l=length, w=width, h=height, theta=theta,
+        )
+        box2d = _reference_project_box2d(box, g, k, h_img, w_img)
+        if box2d is None:
+            rejected.append(box)
+            continue
+        return box, box2d
+    raise ConfigError("could not place an object inside the image")
+
+
+def _reference_project_box2d(box, g, k, h_img, w_img):
+    up = g.normal
+    fwd = np.array([0.0, 0.0, 1.0]) - up[2] * up
+    fwd /= np.linalg.norm(fwd)
+    right = np.cross(up, fwd)
+    heading = math.cos(box.theta) * fwd + math.sin(box.theta) * right
+    side = np.cross(up, heading)
+    sl, sw, sh = _REF_CORNER_SIGNS.T[:, :, None]
+    corners = (box.center() + (sl * box.l) * heading + (sw * box.w) * side
+               + (sh * box.h) * up)
+    if (corners[:, 2] <= 0).any():
+        return None
+    us, vs = project_points(corners, k).T
+    left = max(us.min(), 0.0)
+    right2d = min(us.max(), float(w_img))
+    top = max(vs.min(), 0.0)
+    bottom2d = min(vs.max(), float(h_img))
+    if left >= right2d or top >= bottom2d:
+        return None
+    return (left, top, right2d, bottom2d)
+
+
+def reference_fleet(cfg, rejected):
+    """(ground plane, [(BBox3D, box2d)]) per frame, one object at a time;
+    every box whose 2D box was empty is appended to `rejected`."""
+    k = cfg.intrinsics()
+    fleet = []
+    for i in range(cfg.n_frames):
+        rng = np.random.default_rng([cfg.seed, i])
+        att = CameraAttitude(
+            roll=rng.uniform(*cfg.roll_range),
+            pitch=rng.uniform(*cfg.pitch_range),
+            height=rng.uniform(*cfg.height_range),
+        )
+        g = attitude_to_plane(att)
+        fleet.append((g, [_reference_sample_box(rng, cfg, k, g, rejected)
+                          for _ in range(cfg.objects_per_frame)]))
+    return fleet
+
+
+def assert_sampler_equals_reference(cfg):
+    """synthesize_scene(cfg) equals the reference fleet, or both raise the
+    same ConfigError. Returns the number of empty 2D boxes the reference
+    retried."""
+    rejected, expected, got = [], None, None
+    try:
+        expected = reference_fleet(cfg, rejected)
+    except ConfigError as exc:
+        expected = str(exc)
+    try:
+        got = synthesize_scene(cfg)
+    except ConfigError as exc:
+        got = str(exc)
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return len(rejected)
+    assert len(got) == len(expected)
+    for frame, (g, objects) in zip(got, expected):
+        assert frame.ground == g
+        assert [o.box3d for o in frame.objects] == [b for b, _ in objects]
+        assert [o.box2d for o in frame.objects] == [b2 for _, b2 in objects]
+        ref_labels = serialize_labels([replace(o, box3d=b, box2d=b2) for o, (b, b2)
+                                       in zip(frame.objects, objects)])
+        assert serialize_labels(frame.objects) == ref_labels
+    return len(rejected)
+
+
+class TestArraySamplerEqualsReference:
+    @pytest.mark.parametrize("seed", [0, 3, 7, 11, 1009])
+    @pytest.mark.parametrize("shape", [{}, {"n_frames": 4, "objects_per_frame": 400}],
+                             ids=["default", "4x400"])
+    def test_fleet(self, seed, shape):
+        assert_sampler_equals_reference(SceneConfig(seed=seed, **shape))
+
+    def test_near_boxes(self):
+        # Boxes this close can reach behind the camera, so some attempts
+        # that pass the row test are retried.
+        rejected = sum(assert_sampler_equals_reference(
+            SceneConfig(seed=3, n_frames=3, **cfg)) for cfg in (
+                {"focal": 100.0, "depth_range": (0.5, 4.0)},
+                {"focal": 150.0, "depth_range": (0.5, 30.0),
+                 "objects_per_frame": 100}))
+        assert rejected >= 1
+
+    @pytest.mark.parametrize("pitch,message", [
+        (-0.25, "could not place an object"),
+        (math.pi / 2 - 1e-11, "vertical ground plane"),
+    ], ids=["camera-looks-up", "vertical-plane"])
+    def test_same_config_error(self, pitch, message):
+        cfg = SceneConfig(seed=1, n_frames=2, pitch_range=(pitch, pitch))
+        with pytest.raises(ConfigError, match=message):
+            synthesize_scene(cfg)
+        assert_sampler_equals_reference(cfg)
+
+    @given(st.builds(
+        SceneConfig,
+        n_frames=st.integers(1, 2),
+        objects_per_frame=st.integers(1, 60),
+        image_height=st.integers(40, 600),
+        image_width=st.integers(40, 1000),
+        focal=st.floats(50.0, 2000.0),
+        depth_range=st.tuples(st.floats(0.5, 60.0), st.floats(0.0, 200.0))
+        .map(lambda t: (t[0], t[0] + t[1])),
+        seed=st.integers(0, 2**32),
+    ))
+    def test_small_random_configs(self, cfg):
+        assert_sampler_equals_reference(cfg)
