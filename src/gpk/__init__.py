@@ -30,10 +30,11 @@ from .attention import (
     visual_cross_attention,
 )
 from .dataio import (
+    BOX3D_DTYPE,
     CameraRig,
     FrameRecord,
-    LabeledObject,
     SceneConfig,
+    label_table,
     parse_calibration,
     parse_ground_plane,
     parse_labels,
@@ -61,7 +62,6 @@ from .errors import (
     SingularIntrinsics,
 )
 from .geometry import (
-    BBox3D,
     CameraAttitude,
     CameraIntrinsics,
     GroundPlane,

@@ -108,7 +108,7 @@ def depth_histogram(frames, bins: int) -> Histogram:
     depths = []
     for f in frames:
         k, g = f.rig.intrinsics, f.ground
-        p = bottom_centers([o.box3d for o in f.objects], g)
+        p = bottom_centers(f.objects.box3d, g)
         u, v = project_points(p[p[:, 2] > 0], k).T
         denom = ray_ground_denominator(u, v, k, g)
         with np.errstate(all="ignore"):
@@ -141,9 +141,8 @@ def attitude_histograms(frames, bins: int, stride: int = 16):
         raise EmptyInput("no frames")
     used, counts = [], []
     for f in frames:
-        planes, tri_id, _ = refine_map(
-            f.ground, [o.box3d for o in f.objects], *f.map_grid(stride)
-        )
+        planes, tri_id, _ = refine_map(f.ground, f.objects.box3d,
+                                       *f.map_grid(stride))
         ids, n = np.unique(tri_id, return_counts=True)
         used.append(planes[ids])
         counts.append(n)
@@ -177,7 +176,7 @@ def v_correlation_series(frames, quantity: str, perturb=None) -> ScatterSeries:
 
     fids, vs, vals = [], [], []
     for i, f in enumerate(frames):
-        p = bottom_centers([o.box3d for o in f.objects], f.ground)
+        p = bottom_centers(f.objects.box3d, f.ground)
         if perturb is not None:
             rot = perturbation_rotation(*perturb[i])
             # matmul of stacked 3x3 @ 3x1 rounds as rot @ p does per point.

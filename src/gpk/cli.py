@@ -209,16 +209,20 @@ def _load_real_frame(args) -> FrameRecord:
     if min(size) < 1:
         raise ParseError(f"image size {size[0]}x{size[1]} from twice the "
                          "principal point is not positive; give --resolution")
-    return FrameRecord(frame_id="000000", objects=tuple(objects), rig=rig,
+    return FrameRecord(frame_id="000000", objects=objects, rig=rig,
                        ground=ground, image_size=size)
 
 
 def _frames_from_args(args):
     """(frames, input paths): the real frame if any of --calib/--labels/
-    --denorm is given, else the synthetic fleet."""
+    --denorm is given, else the synthetic fleet. For a fleet, args.seed
+    becomes its seed (--seed, else the config file's), which the rest of
+    the command and the manifest use."""
     paths = [getattr(args, name, None) for name in _REAL_INPUTS]
     if all(p is None for p in paths):
-        return synthesize_scene(_scene_config(args)), []
+        cfg = _scene_config(args)
+        args.seed = cfg.seed
+        return synthesize_scene(cfg), []
     for flag in ("frames", "config"):
         if getattr(args, flag) is not None:
             raise ParseError(f"--{flag} applies to synthetic frames only, "
@@ -241,9 +245,7 @@ def _map_blobs(frame: FrameRecord, stride: int):
     k, h, w = frame.map_grid(stride)
     # Refine first, so the rasterizer's temporaries are gone before any
     # full-size map exists; each dense map lives only while it is packed.
-    planes, tri_id, stats = refine_map(
-        frame.ground, [o.box3d for o in frame.objects], k, h, w
-    )
+    planes, tri_id, stats = refine_map(frame.ground, frame.objects.box3d, k, h, w)
     residual = float(np.mean(np.abs(np.take(planes - planes[-1], tri_id, axis=0))))
     depth = build_ground_depth_map(k, frame.ground, h, w)
     blobs = (
@@ -289,8 +291,7 @@ def cmd_perturb(args) -> int:
     if args.sigma < 0:
         raise ParseError("--sigma must be >= 0")
     frames, inputs = _frames_from_args(args)
-    seed = args.seed if args.seed is not None else 0
-    pairs = _perturbation_pairs(len(frames), args.sigma, seed)
+    pairs = _perturbation_pairs(len(frames), args.sigma, args.seed or 0)
     quantities = ([args.quantity] if args.quantity else list(analysis.QUANTITIES))
     overlaps = {}
     for q in quantities:

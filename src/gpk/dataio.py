@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import ConfigError, DegeneratePlane, ParseError, SingularIntrinsics
 from .geometry import (
-    BBox3D,
     CameraAttitude,
     CameraIntrinsics,
     GroundPlane,
@@ -20,6 +19,27 @@ from .geometry import (
 )
 
 _N_LABEL_FIELDS = 15
+# A label row's box: its fields x y z l w h theta sit in the file's
+# h w l x y z ry order, so the last 7 numbers of a line view as one box.
+BOX3D_DTYPE = np.dtype((np.record, {
+    "names": ["x", "y", "z", "l", "w", "h", "theta"],
+    "formats": ["f8"] * 7,
+    "offsets": [24, 32, 40, 16, 8, 0, 48],
+}))
+# A frame's objects are one table of these rows, in label-file order.
+LABEL_DTYPE = np.dtype((np.record, [
+    ("category", object),
+    ("truncated", "f8"),
+    ("occluded", "f8"),  # an integer; a float, so any integer label reads back
+    ("alpha", "f8"),
+    ("box2d", "f8", (4,)),  # (left, top, right, bottom) pixels
+    ("box3d", BOX3D_DTYPE),
+]))
+# Why a label line's numbers are rejected, in the order they are checked.
+_LABEL_FAULTS = ("numeric fields must be finite", "occluded must be an integer",
+                 "box dimensions must be positive", "theta must lie in [-pi, pi)")
+# A label line that parses back bit-exactly; occluded is written as an integer.
+_LABEL_FORMAT = "%s %.17g %d" + " %.17g" * (_N_LABEL_FIELDS - 3)
 # (length, width, height) signs of a box's 8 corners, height varying fastest.
 _CORNER_SIGNS = np.array(list(itertools.product((-0.5, 0.5), repeat=3)))
 # Ranges of a synthetic box's shape draws, in stream order: length, width,
@@ -27,16 +47,6 @@ _CORNER_SIGNS = np.array(list(itertools.product((-0.5, 0.5), repeat=3)))
 _SHAPE_LO = np.array([3.8, 1.6, 1.4, -math.pi])
 _SHAPE_HI = np.array([4.6, 2.0, 1.7, math.pi])
 _MAX_ATTEMPTS = 1000  # per object, before a scene counts as unplaceable
-
-
-@dataclass(frozen=True)
-class LabeledObject:
-    category: str
-    truncated: float
-    occluded: int
-    alpha: float
-    box2d: tuple  # (left, top, right, bottom) pixels
-    box3d: BBox3D
 
 
 @dataclass(frozen=True)
@@ -50,7 +60,7 @@ class CameraRig:
 @dataclass(frozen=True)
 class FrameRecord:
     frame_id: str
-    objects: tuple  # of LabeledObject
+    objects: np.recarray  # the label table (LABEL_DTYPE rows)
     rig: CameraRig
     ground: GroundPlane
     image_size: tuple  # (h, w) pixels
@@ -66,65 +76,83 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def parse_labels(text: str):
-    """Parse KITTI 15-field label lines.
+def label_table(categories, numbers) -> np.recarray:
+    """The label table of `categories` and their (n, 14) numbers in
+    label-file order: truncated occluded alpha left top right bottom
+    h w l x y z rotation_y. Unvalidated; parse_labels validates."""
+    numbers = np.asarray(numbers, dtype=float).reshape(-1, _N_LABEL_FIELDS - 1)
+    table = np.empty(len(numbers), LABEL_DTYPE).view(np.recarray)
+    table.category = categories
+    table.truncated, table.occluded, table.alpha = numbers[:, :3].T
+    table.box2d = numbers[:, 3:7]
+    table.box3d = np.ascontiguousarray(numbers[:, 7:]).view(BOX3D_DTYPE)[:, 0]
+    return table
+
+
+def parse_labels(text: str) -> np.recarray:
+    """Parse KITTI 15-field label lines into a label table.
 
     Fields: category truncated occluded alpha l t r b h w l x y z rotation_y.
     The location is interpreted as the 3D box center. Strict: exactly 15
-    fields per non-empty line, every numeric field finite.
+    fields per non-empty line, every numeric field a finite number (read
+    as float() reads it), occluded an integer, l, w > 0, h >= 0 and
+    rotation_y in [-pi, pi). The ParseError names the first bad line, and
+    within a line the first failed check in that order.
     """
-    objects = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split()
+    rows = [line.split() for line in text.splitlines()]
+    linenos = [n for n, fields in enumerate(rows, start=1) if fields]
+    rows = [fields for fields in rows if fields]
+    # Numbers are read up to the first line with the wrong field count or
+    # a field that is not a number; a check failed before it comes first.
+    error = None
+    for i, fields in enumerate(rows):
         if len(fields) != _N_LABEL_FIELDS:
-            raise ParseError(
-                f"expected {_N_LABEL_FIELDS} fields, got {len(fields)}", lineno
+            error = ParseError(
+                f"expected {_N_LABEL_FIELDS} fields, got {len(fields)}", linenos[i]
             )
-        category = fields[0]
-        try:
-            vals = [float(f) for f in fields[1:]]
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-        if not all(math.isfinite(v) for v in vals):
-            raise ParseError("numeric fields must be finite", lineno)
-        trunc, occ, alpha = vals[0], vals[1], vals[2]
-        l2d, t2d, r2d, b2d = vals[3:7]
-        h3d, w3d, l3d = vals[7:10]
-        x, y, z = vals[10:13]
-        ry = vals[13]
-        if occ != int(occ):
-            raise ParseError("occluded must be an integer", lineno)
-        try:
-            box3d = BBox3D(x=x, y=y, z=z, l=l3d, w=w3d, h=h3d, theta=ry)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-        objects.append(
-            LabeledObject(
-                category=category,
-                truncated=trunc,
-                occluded=int(occ),
-                alpha=alpha,
-                box2d=(l2d, t2d, r2d, b2d),
-                box3d=box3d,
-            )
-        )
-    return objects
+            rows = rows[:i]
+            break
+    try:
+        numbers = np.array([fields[1:] for fields in rows], dtype=float)
+    except ValueError:  # find the first field float() rejects, and its message
+        for i, fields in enumerate(rows):
+            try:
+                [float(v) for v in fields[1:]]
+            except ValueError as exc:
+                error = ParseError(str(exc), linenos[i])
+                rows = rows[:i]
+                break
+        numbers = np.array([fields[1:] for fields in rows], dtype=float)
+    numbers = numbers.reshape(-1, _N_LABEL_FIELDS - 1)
+    occluded, theta = numbers[:, 1], numbers[:, 13]
+    h, w, l = numbers[:, 7:10].T
+    faults = np.column_stack([
+        ~np.isfinite(numbers).all(axis=1),
+        occluded != np.trunc(occluded),
+        (l <= 0) | (w <= 0) | (h < 0),
+        ~((-math.pi <= theta) & (theta < math.pi)),
+    ])
+    bad = np.flatnonzero(faults.any(axis=1))
+    if bad.size:
+        raise ParseError(_LABEL_FAULTS[int(faults[bad[0]].argmax())],
+                         linenos[bad[0]])
+    if error is not None:
+        raise error
+    return label_table([fields[0] for fields in rows], numbers)
+
+
+def _file_numbers(table) -> np.ndarray:
+    """(n, 14) numbers of a label table in label-file order."""
+    box = np.ascontiguousarray(table.box3d).view(np.float64).reshape(-1, 7)
+    return np.column_stack([table.truncated, table.occluded, table.alpha,
+                            table.box2d, box])
 
 
 def serialize_labels(objects) -> str:
-    lines = []
-    for o in objects:
-        b = o.box3d
-        fields = (
-            [o.category, _fmt(o.truncated), str(o.occluded), _fmt(o.alpha)]
-            + [_fmt(v) for v in o.box2d]
-            + [_fmt(b.h), _fmt(b.w), _fmt(b.l)]
-            + [_fmt(b.x), _fmt(b.y), _fmt(b.z), _fmt(b.theta)]
-        )
-        lines.append(" ".join(fields))
-    return "\n".join(lines) + ("\n" if lines else "")
+    """A label table as KITTI label lines that parse back to it bit-exactly."""
+    return "".join(_LABEL_FORMAT % (category, *numbers) + "\n"
+                   for category, numbers in zip(objects.category.tolist(),
+                                                _file_numbers(objects).tolist()))
 
 
 def parse_calibration(text: str) -> CameraRig:
@@ -281,9 +309,10 @@ def _ground_points(r, cfg: SceneConfig, k: CameraIntrinsics, g: GroundPlane):
 
 
 def _place_boxes(r, starts, bottoms, cfg: SceneConfig, k, g: GroundPlane):
-    """(BBox3D, box2d) of the attempts whose (depth, column) pair is at each
-    of `starts`, or None where the box's 2D box is empty. Their shape draws
-    are the next two pairs: (length, width) and (height, yaw)."""
+    """(numbers, empty) of the attempts whose (depth, column) pair is at
+    each of `starts`: their (n, 14) label numbers in file order, and
+    whether their 2D box is empty. Their shape draws are the next two
+    pairs: (length, width) and (height, yaw)."""
     up = g.normal
     fwd = np.array([0.0, 0.0, 1.0]) - up[2] * up
     fwd /= np.linalg.norm(fwd)
@@ -307,14 +336,14 @@ def _place_boxes(r, starts, bottoms, cfg: SceneConfig, k, g: GroundPlane):
     right_bottom = np.where(size < hi, size, hi)
     empty = ((corners[..., 2] <= 0).any(axis=1)
              | (left_top >= right_bottom).any(axis=1))
-    rows = np.column_stack([center, l, w, h, theta]).tolist()
-    box2d = np.hstack([left_top, right_bottom]).tolist()
-    return [None if e else (BBox3D(*row), tuple(b))
-            for e, row, b in zip(empty.tolist(), rows, box2d)]
+    numbers = np.zeros((len(starts), _N_LABEL_FIELDS - 1))  # alpha etc. are 0
+    numbers[:, 3:] = np.column_stack([left_top, right_bottom, h, w, l, center,
+                                      theta])
+    return numbers, empty
 
 
 def _sample_boxes(rng, cfg: SceneConfig, k: CameraIntrinsics, g: GroundPlane):
-    """A frame's objects as (BBox3D, box2d) pairs, by rejection sampling.
+    """A frame's label table of "Car" boxes, by rejection sampling.
 
     An attempt draws a depth and a pixel column, puts the bottom center on
     the plane there, and is rejected if its row falls outside the margins;
@@ -330,10 +359,10 @@ def _sample_boxes(rng, cfg: SceneConfig, k: CameraIntrinsics, g: GroundPlane):
         raise ConfigError("vertical ground plane in synthetic scene")
     n = cfg.objects_per_frame
     r = np.empty(0)
-    boxes, starts, failures = [], [], []
-    j = failed = 0  # the next pair; failed attempts of the object being placed
+    placed, starts, failures = [], [], []
+    count = j = failed = 0  # objects placed; the next pair; failed attempts
     with np.errstate(over="ignore", invalid="ignore"):
-        while len(boxes) < n:
+        while count < n:
             if failed == _MAX_ATTEMPTS:
                 raise ConfigError("could not place an object inside the image")
             if 2 * j + 6 > r.size:
@@ -345,16 +374,16 @@ def _sample_boxes(rng, cfg: SceneConfig, k: CameraIntrinsics, g: GroundPlane):
                 j, failed = j + 3, 0
             else:
                 j, failed = j + 1, failed + 1
-            if len(boxes) + len(starts) < n:
+            if count + len(starts) < n:
                 continue
-            placed = _place_boxes(r, starts, bottoms, cfg, k, g)
-            for start, before, box in zip(starts, failures, placed):
-                if box is None:  # retry this object from the pair after it
-                    j, failed = start + 3, before + 1
-                    break
-                boxes.append(box)
+            numbers, empty = _place_boxes(r, starts, bottoms, cfg, k, g)
+            kept = int(empty.argmax()) if empty.any() else len(starts)
+            placed.append(numbers[:kept])
+            count += kept
+            if kept < len(starts):  # retry that object from the pair after it
+                j, failed = starts[kept] + 3, failures[kept] + 1
             starts, failures = [], []
-    return boxes
+    return label_table(["Car"] * n, np.concatenate(placed))
 
 
 def synthesize_scene(cfg: SceneConfig):
@@ -375,15 +404,10 @@ def synthesize_scene(cfg: SceneConfig):
             height=rng.uniform(*cfg.height_range),
         )
         g = attitude_to_plane(att)
-        objects = [
-            LabeledObject(category="Car", truncated=0.0, occluded=0, alpha=0.0,
-                          box2d=box2d, box3d=box)
-            for box, box2d in _sample_boxes(rng, cfg, k, g)
-        ]
         frames.append(
             FrameRecord(
                 frame_id=f"{i:06d}",
-                objects=tuple(objects),
+                objects=_sample_boxes(rng, cfg, k, g),
                 rig=CameraRig(intrinsics=k),
                 ground=g,
                 image_size=(cfg.image_height, cfg.image_width),

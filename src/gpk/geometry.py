@@ -127,29 +127,6 @@ class CameraAttitude:
 
 
 @dataclass(frozen=True)
-class BBox3D:
-    """7-DoF box: center (x, y, z), dimensions (l, w, h), yaw theta."""
-
-    x: float
-    y: float
-    z: float
-    l: float
-    w: float
-    h: float
-    theta: float
-
-    def __post_init__(self):
-        # h = 0 is tolerated as a degenerate flat box (bottom == center).
-        if self.l <= 0 or self.w <= 0 or self.h < 0:
-            raise ValueError("box dimensions must be positive")
-        if not (-math.pi <= self.theta < math.pi):
-            raise ValueError("theta must lie in [-pi, pi)")
-
-    def center(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-@dataclass(frozen=True)
 class Pixel:
     u: float
     v: float
@@ -251,17 +228,18 @@ def attitude_to_plane(a: CameraAttitude) -> GroundPlane:
 def bottom_centers(boxes, g: GroundPlane) -> np.ndarray:
     """(n, 3) centers of the boxes' bottom faces, assuming gravity alignment.
 
-    Roadside cameras are pitched, so "down" is the negated ground normal
-    rather than camera +y. This is the one place that reads a box's
+    `boxes` is a label table's box3d column (any array with x, y, z and h
+    fields). Roadside cameras are pitched, so "down" is the negated ground
+    normal rather than camera +y. This is the one place that reads a box's
     location as its center; dataio._sample_boxes places boxes by the inverse.
     """
-    rows = np.array([(b.x, b.y, b.z, b.h) for b in boxes], float).reshape(-1, 4)
-    return rows[:, :3] - (0.5 * rows[:, 3:]) * g.normal
+    centers = np.column_stack([boxes["x"], boxes["y"], boxes["z"]])
+    return centers - (0.5 * boxes["h"])[:, None] * g.normal
 
 
-def bottom_center(b: BBox3D, g: GroundPlane) -> np.ndarray:
-    """Center of one box's bottom face (see bottom_centers)."""
-    return bottom_centers([b], g)[0]
+def bottom_center(b, g: GroundPlane) -> np.ndarray:
+    """Center of one box's bottom face: a row of a box3d column."""
+    return bottom_centers(np.array([b]), g)[0]
 
 
 def rotation_roll(angle: float) -> np.ndarray:

@@ -69,28 +69,27 @@ def angle_loss(pred: float, target: float) -> tuple[float, float]:
     return abs(wrapped), float(np.sign(wrapped))
 
 
-def _box_area(box) -> float:
-    left, top, right, bottom = (float(v) for v in box)
-    if right <= left or bottom <= top:
-        raise DomainError(f"degenerate box {box}")
-    return (right - left) * (bottom - top)
-
-
-def giou_loss_2d(box_a, box_b) -> float:
-    """1 - GIoU for axis-aligned (left, top, right, bottom) boxes.
+def giou_loss_2d(box_a, box_b):
+    """1 - GIoU for axis-aligned (left, top, right, bottom) boxes, or for
+    each row of two (n, 4) arrays of them.
 
     0 for identical boxes; approaches 2 for far-apart boxes (the
     enclosing-box penalty tends to 1 while IoU tends to 0).
     """
-    area_a = _box_area(box_a)
-    area_b = _box_area(box_b)
-    ix = max(0.0, min(box_a[2], box_b[2]) - max(box_a[0], box_b[0]))
-    iy = max(0.0, min(box_a[3], box_b[3]) - max(box_a[1], box_b[1]))
+    a, b = np.broadcast_arrays(np.asarray(box_a, dtype=float),
+                               np.asarray(box_b, dtype=float))
+    pairs = np.stack([a, b], axis=-2).reshape(-1, 4)  # box_a's before box_b's
+    degenerate = (pairs[:, 2] <= pairs[:, 0]) | (pairs[:, 3] <= pairs[:, 1])
+    if degenerate.any():
+        box = tuple(pairs[degenerate.argmax()].tolist())
+        raise DomainError(f"degenerate box {box}")
+    (la, ta, ra, ba), (lb, tb, rb, bb) = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
+    ix = np.maximum(0.0, np.minimum(ra, rb) - np.maximum(la, lb))
+    iy = np.maximum(0.0, np.minimum(ba, bb) - np.maximum(ta, tb))
     inter = ix * iy
-    union = area_a + area_b - inter
-    hull = (max(box_a[2], box_b[2]) - min(box_a[0], box_b[0])) * (
-        max(box_a[3], box_b[3]) - min(box_a[1], box_b[1])
-    )
+    union = (ra - la) * (ba - ta) + (rb - lb) * (bb - tb) - inter
+    hull = ((np.maximum(ra, rb) - np.minimum(la, lb))
+            * (np.maximum(ba, bb) - np.minimum(ta, tb)))
     giou = inter / union - (hull - union) / hull
     return 1.0 - giou
 
@@ -160,35 +159,24 @@ def total_loss(components, weights: LossWeights = LossWeights()) -> float:
 
 
 def frame_loss_components(pred, gt, denorm_l1: float) -> dict:
-    """Per-object mean of each loss component between two label lists
-    (LabeledObject, matched by position), plus the given denorm L1."""
+    """Per-object mean of each loss component between two label tables
+    (objects matched by row), plus the given denorm L1."""
     if len(pred) != len(gt):
         raise ParseError(
             f"prediction/label object counts differ: {len(pred)} vs {len(gt)}"
         )
-    comps = dict.fromkeys(COMPONENT_NAMES, 0.0)
-    for p, g in zip(pred, gt):
-        comps["classification"] += 0.0 if p.category == g.category else 1.0
-        comps["size2d"] += sum(l1_loss(a, b)[0] for a, b in zip(p.box2d, g.box2d))
-        comps["center3d"] += sum(
-            l1_loss(a, b)[0]
-            for a, b in zip(
-                (p.box3d.x, p.box3d.y, p.box3d.z),
-                (g.box3d.x, g.box3d.y, g.box3d.z),
-            )
-        )
-        comps["giou"] += giou_loss_2d(p.box2d, g.box2d)
-        comps["size3d"] += sum(
-            l1_loss(a, b)[0]
-            for a, b in zip(
-                (p.box3d.l, p.box3d.w, p.box3d.h),
-                (g.box3d.l, g.box3d.w, g.box3d.h),
-            )
-        )
-        comps["angle"] += angle_loss(p.box3d.theta, g.box3d.theta)[0]
-        comps["depth"] += laplace_depth_loss(p.box3d.z, g.box3d.z, 1.0)[0]
-    if pred:
-        for key in comps:
-            comps[key] /= len(pred)
+    p, g = pred.box3d, gt.box3d
+    per_object = {
+        "classification": pred.category != gt.category,
+        "size2d": sum(np.abs(pred.box2d - gt.box2d).T),
+        "center3d": abs(p.x - g.x) + abs(p.y - g.y) + abs(p.z - g.z),
+        "giou": giou_loss_2d(pred.box2d, gt.box2d),
+        "size3d": abs(p.l - g.l) + abs(p.w - g.w) + abs(p.h - g.h),
+        "angle": [angle_loss(a, b)[0] for a, b in zip(p.theta.tolist(),
+                                                      g.theta.tolist())],
+        "depth": 2.0 * abs(p.z - g.z),  # laplace_depth_loss at sigma = 1
+    }
+    comps = {key: float(np.mean(values)) if len(pred) else 0.0
+             for key, values in per_object.items()}
     comps["denorm"] = denorm_l1
     return comps

@@ -103,11 +103,14 @@ def build_global_denorm_map(g_initial: GroundPlane, h: int, w: int) -> DenormMap
 def triangulate_ground_points(points, k: CameraIntrinsics):
     """Delaunay-triangulate projected ground points and fit per-triangle planes.
 
-    Returns (regions, skipped): degenerate triples (collinear in 3D or
-    image space, or origin-crossing planes) are dropped and counted.
+    Points are kept as refine_map keeps them, for the image its intrinsics
+    imply (2·cy x 2·cx). Returns (regions, skipped): degenerate triples
+    (collinear in 3D or image space, or origin-crossing planes) are dropped
+    and counted.
     """
     points = np.asarray(list(points), dtype=float).reshape(-1, 3)
-    points3d, pixels, planes, skipped = _fit_sub_planes(*_in_view(points, k))
+    points3d, pixels, planes, skipped = _fit_sub_planes(
+        *_in_view(points, k, 2 * k.cy, 2 * k.cx))
     regions = [
         TriangleRegion(pixels=px, plane=GroundPlane(*plane.tolist()), points3d=p3)
         for p3, px, plane in zip(points3d, pixels, planes)
@@ -115,11 +118,11 @@ def triangulate_ground_points(points, k: CameraIntrinsics):
     return regions, skipped
 
 
-def _in_view(points: np.ndarray, k: CameraIntrinsics, h=np.inf, w=np.inf):
+def _in_view(points: np.ndarray, k: CameraIntrinsics, h, w):
     """(points, pixels) of the (n, 3) points in front of the camera whose
-    pixel is finite and within [-w, 2w] x [-h, 2h]: the map grown by its
-    own size on each side. A point just in front of the camera projects
-    far beyond that, and would make Qhull lose the other points."""
+    pixel is finite and within [-w, 2w] x [-h, 2h]: the h x w map grown by
+    its own size on each side. A point just in front of the camera
+    projects far beyond that, and would make Qhull lose the other points."""
     pixels = project_points(points, k)
     inside = (pixels >= (-w, -h)) & (pixels <= (2 * w, 2 * h))
     seen = (points[:, 2] > 0) & (np.isfinite(pixels) & inside).all(axis=1)
@@ -288,9 +291,10 @@ def refine_map(g_initial: GroundPlane, boxes, k: CameraIntrinsics, h: int, w: in
     owning each pixel, or -1 (the global plane). `planes[tri_id]` is the
     dense (h, w, 4) map. `stats` counts {'dropped_points',
     'insufficient_points', 'degenerate_skipped', 'triangles',
-    'covered_pixels'}. Bottom centers behind the camera, or whose pixel is
-    not finite or lies beyond the map by more than its size, are dropped.
-    With fewer than three usable bottom centers no pixel is covered.
+    'covered_pixels'}. `boxes` is a label table's box3d column. Bottom
+    centers behind the camera, or whose pixel is not finite or lies beyond
+    the map by more than its size, are dropped. With fewer than three
+    usable bottom centers no pixel is covered.
     """
     if h <= 0 or w <= 0:
         raise DimensionMismatch("map dimensions must be positive")

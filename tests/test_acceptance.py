@@ -30,6 +30,7 @@ from gpk.attention import (
 )
 from gpk.cli import main as cli_main
 from gpk.dataio import (
+    BOX3D_DTYPE,
     SceneConfig,
     parse_calibration,
     parse_ground_plane,
@@ -41,7 +42,6 @@ from gpk.dataio import (
 )
 from gpk.errors import BehindCamera, CollinearPoints, DegeneratePlane, HorizonRay
 from gpk.geometry import (
-    BBox3D,
     CameraAttitude,
     CameraIntrinsics,
     GroundPlane,
@@ -220,9 +220,9 @@ def test_05_refinement_fixed_point():
         y = -(g.alpha * x + g.gamma * z + g.d) / g.beta
         h = rng.uniform(1.4, 1.7)
         c = np.array([x, y, z]) + 0.5 * h * g.normal
-        boxes.append(BBox3D(x=c[0], y=c[1], z=c[2], l=4.3, w=1.8, h=h, theta=0.2))
+        boxes.append((c[0], c[1], c[2], 4.3, 1.8, h, 0.2))  # x y z l w h theta
     k = CameraIntrinsics(fx=62.5, fy=62.5, cx=29.0, cy=16.0)  # stride 16
-    planes, tri_id, _ = refine_map(g, boxes, k, 32, 58)
+    planes, tri_id, _ = refine_map(g, np.array(boxes, BOX3D_DTYPE), k, 32, 58)
     refined = DenormMap(planes[tri_id])
     loss = denorm_l1_loss(refined, build_global_denorm_map(g, 32, 58))
     report(5, "refinement is a fixed point on flat ground", loss < 1e-9,

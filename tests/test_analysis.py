@@ -16,13 +16,12 @@ from gpk.analysis import (
 from gpk.dataio import (
     CameraRig,
     FrameRecord,
-    LabeledObject,
     SceneConfig,
+    label_table,
     synthesize_scene,
 )
 from gpk.errors import EmptyInput, GpkError, QuantityMismatch
 from gpk.geometry import (
-    BBox3D,
     CameraAttitude,
     CameraIntrinsics,
     GroundPlane,
@@ -49,7 +48,7 @@ def dense_attitude_histograms(frames, bins, stride):
         k = f.rig.intrinsics
         h = max(int(round(2 * k.cy)) // stride, 1)
         w = max(int(round(2 * k.cx)) // stride, 1)
-        planes, tri_id, _ = refine_map(f.ground, [o.box3d for o in f.objects],
+        planes, tri_id, _ = refine_map(f.ground, f.objects.box3d,
                                        k.scaled(stride), h, w)
         for out, q in zip(samples, map_attitudes(planes[tri_id])):
             out.append(q.reshape(-1))
@@ -109,16 +108,16 @@ def edge_case_frame():
     within 1e-12 of the horizon, meeting the ground behind the camera, and
     below the image rows."""
     k = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=464.0, cy=256.0)
-    boxes = [
-        BBox3D(x=1.0, y=5.25, z=40.0, l=4.0, w=2.0, h=1.5, theta=0.0),
-        BBox3D(x=-3.0, y=5.2, z=25.0, l=4.0, w=2.0, h=1.6, theta=0.5),
-        BBox3D(x=1.0, y=-1.75, z=-10.0, l=4.0, w=2.0, h=1.5, theta=0.0),
-        BBox3D(x=2.0, y=6e-12 - 0.75, z=60.0, l=4.0, w=2.0, h=1.5, theta=0.0),
-        BBox3D(x=0.0, y=-3.0, z=30.0, l=4.0, w=2.0, h=1.5, theta=0.0),
-        BBox3D(x=0.0, y=5.25, z=5.0, l=4.0, w=2.0, h=1.5, theta=0.0),
+    boxes = [  # h w l x y z rotation_y
+        (1.5, 2.0, 4.0, 1.0, 5.25, 40.0, 0.0),
+        (1.6, 2.0, 4.0, -3.0, 5.2, 25.0, 0.5),
+        (1.5, 2.0, 4.0, 1.0, -1.75, -10.0, 0.0),
+        (1.5, 2.0, 4.0, 2.0, 6e-12 - 0.75, 60.0, 0.0),
+        (1.5, 2.0, 4.0, 0.0, -3.0, 30.0, 0.0),
+        (1.5, 2.0, 4.0, 0.0, 5.25, 5.0, 0.0),
     ]
-    objects = tuple(LabeledObject("Car", 0.0, 0, 0.0, (0, 0, 1, 1), b)
-                    for b in boxes)
+    objects = label_table(["Car"] * len(boxes),
+                          [(0, 0, 0, 0, 0, 1, 1) + b for b in boxes])
     rig = CameraRig(k)
     return FrameRecord("000000", objects, rig, GroundPlane(0.0, -1.0, 0.0, 6.0),
                        (512, 928))

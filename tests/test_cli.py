@@ -120,7 +120,7 @@ class TestGenMaps:
                               "covered_pixels"), 0)
         cfg = SceneConfig(seed=1, n_frames=3, image_height=64, image_width=116)
         for frame in synthesize_scene(cfg):
-            _, _, stats = refine_map(frame.ground, [o.box3d for o in frame.objects],
+            _, _, stats = refine_map(frame.ground, frame.objects.box3d,
                                      frame.rig.intrinsics.scaled(16), 4, 7)
             for key in want:
                 want[key] += stats[key]
@@ -188,8 +188,8 @@ class TestRealFrames:
         assert counters["covered_pixels"] == 1464
         (frame,) = synthesize_scene(SceneConfig(
             seed=3, n_frames=1, image_height=1080, image_width=1920, focal=2000.0))
-        planes, tri_id, _ = refine_map(
-            frame.ground, [o.box3d for o in frame.objects], *frame.map_grid(16))
+        planes, tri_id, _ = refine_map(frame.ground, frame.objects.box3d,
+                                       *frame.map_grid(16))
         assert np.array_equal(refined, planes[tri_id].astype(np.float32))
 
     def test_calib_with_tr_world_to_cam_gives_the_same_maps(self, tmp_path, synth):
@@ -273,6 +273,19 @@ class TestRealFrames:
 
 
 class TestPerturb:
+    def test_config_file_seed_reaches_the_whole_command(self, tmp_path):
+        # The pose offsets, not only the fleet, come from the file's seed,
+        # and the manifest records it.
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("seed = 5\nn_frames = 4\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["perturb", "--out", str(a), "--config", str(cfg)]) == 0
+        assert run(["perturb", "--out", str(b), "--seed", "5",
+                    "--frames", "4"]) == 0
+        assert dir_bytes(a) == dir_bytes(b)
+        for out in (a, b):
+            assert json.loads((out / "manifest.json").read_text())["seed"] == 5
+
     def test_sigma_zero_full_overlap(self, tmp_path, capsys):
         out = tmp_path / "p"
         assert run(["perturb", "--out", str(out), "--seed", "0",

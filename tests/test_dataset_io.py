@@ -3,7 +3,7 @@ scene generator's geometric guarantees."""
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gpk.dataio import (
+    LABEL_DTYPE,
     SceneConfig,
     parse_calibration,
     parse_ground_plane,
@@ -22,7 +23,6 @@ from gpk.dataio import (
 )
 from gpk.errors import ConfigError, ParseError
 from gpk.geometry import (
-    BBox3D,
     CameraAttitude,
     CameraIntrinsics,
     GroundPlane,
@@ -44,10 +44,16 @@ class TestLabels:
         (obj,) = parse_labels(LABEL_LINE)
         assert obj.category == "Car"
         assert obj.occluded == 0
-        assert obj.box2d == (300.5, 200.25, 420.0, 260.75)
+        assert tuple(obj.box2d) == (300.5, 200.25, 420.0, 260.75)
         b = obj.box3d
         assert (b.h, b.w, b.l) == (1.5, 1.8, 4.2)
         assert (b.x, b.y, b.z, b.theta) == (2.0, 4.5, 55.0, 0.25)
+
+    def test_columns(self):
+        objects = parse_labels(LABEL_LINE + LABEL_LINE.replace("Car", "Van"))
+        assert objects.category.tolist() == ["Car", "Van"]
+        assert objects.box3d.z.tolist() == [55.0, 55.0]
+        assert objects.box2d.shape == (2, 4)
 
     def test_round_trip_bit_exact(self):
         objects = parse_labels(LABEL_LINE)
@@ -89,8 +95,10 @@ class TestLabels:
         assert len(parse_labels("\n" + LABEL_LINE + "\n\n")) == 1
 
     def test_empty_text_gives_no_objects(self):
-        assert parse_labels("") == []
-        assert serialize_labels([]) == ""
+        for text in ("", "\n \n\t\n"):
+            objects = parse_labels(text)
+            assert len(objects) == 0 and objects.dtype == LABEL_DTYPE
+            assert serialize_labels(objects) == ""
 
 
 # A KITTI-layout calibration file, as DAIR-V2X-I and Rope3D ship them. P2's
@@ -260,6 +268,179 @@ class TestParserProperties:
     def test_ground_plane(self, text):
         assert_error_or_fixed_point(parse_ground_plane, serialize_ground_plane,
                                     text)
+
+
+# The per-line parser and serializer that label files used before a frame's
+# objects became one table, with the per-object types they built;
+# parse_labels and serialize_labels must match them value for value and
+# error for error.
+@dataclass(frozen=True)
+class BBox3D:
+    """7-DoF box: center (x, y, z), dimensions (l, w, h), yaw theta."""
+
+    x: float
+    y: float
+    z: float
+    l: float
+    w: float
+    h: float
+    theta: float
+
+    def __post_init__(self):
+        # h = 0 is tolerated as a degenerate flat box (bottom == center).
+        if self.l <= 0 or self.w <= 0 or self.h < 0:
+            raise ValueError("box dimensions must be positive")
+        if not (-math.pi <= self.theta < math.pi):
+            raise ValueError("theta must lie in [-pi, pi)")
+
+    def center(self) -> np.ndarray:
+        return np.array([self.x, self.y, self.z])
+
+
+@dataclass(frozen=True)
+class LabeledObject:
+    category: str
+    truncated: float
+    occluded: int
+    alpha: float
+    box2d: tuple  # (left, top, right, bottom) pixels
+    box3d: BBox3D
+
+
+def reference_parse_labels(text):
+    objects = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split()
+        if len(fields) != 15:
+            raise ParseError(f"expected 15 fields, got {len(fields)}", lineno)
+        category = fields[0]
+        try:
+            vals = [float(f) for f in fields[1:]]
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+        if not all(math.isfinite(v) for v in vals):
+            raise ParseError("numeric fields must be finite", lineno)
+        trunc, occ, alpha = vals[0], vals[1], vals[2]
+        l2d, t2d, r2d, b2d = vals[3:7]
+        h3d, w3d, l3d = vals[7:10]
+        x, y, z = vals[10:13]
+        ry = vals[13]
+        if occ != int(occ):
+            raise ParseError("occluded must be an integer", lineno)
+        try:
+            box3d = BBox3D(x=x, y=y, z=z, l=l3d, w=w3d, h=h3d, theta=ry)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+        objects.append(LabeledObject(category=category, truncated=trunc,
+                                     occluded=int(occ), alpha=alpha,
+                                     box2d=(l2d, t2d, r2d, b2d), box3d=box3d))
+    return objects
+
+
+def reference_serialize_labels(objects):
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    lines = []
+    for o in objects:
+        b = o.box3d
+        fields = (
+            [o.category, fmt(o.truncated), str(o.occluded), fmt(o.alpha)]
+            + [fmt(v) for v in o.box2d]
+            + [fmt(b.h), fmt(b.w), fmt(b.l)]
+            + [fmt(b.x), fmt(b.y), fmt(b.z), fmt(b.theta)]
+        )
+        lines.append(" ".join(fields))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def assert_table_equals_reference(table, objects):
+    """The label table holds the reference objects' values, field by field
+    and in the file's text."""
+    assert table.category.tolist() == [o.category for o in objects]
+    b = table.box3d
+    got = np.column_stack([table.truncated, table.occluded, table.alpha,
+                           table.box2d, b.h, b.w, b.l, b.x, b.y, b.z, b.theta])
+    want = [[o.truncated, o.occluded, o.alpha, *o.box2d, o.box3d.h, o.box3d.w,
+             o.box3d.l, o.box3d.x, o.box3d.y, o.box3d.z, o.box3d.theta]
+            for o in objects]
+    assert got.tolist() == want
+    assert serialize_labels(table) == reference_serialize_labels(objects)
+
+
+def assert_parse_equals_reference(text):
+    """parse_labels(text) gives the reference parser's values, or the same
+    ParseError reason on the same line. Returns the reference's result."""
+    try:
+        want = reference_parse_labels(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_labels(text)
+        assert (err.value.reason, err.value.line) == (exc.reason, exc.line)
+        return exc
+    assert_table_equals_reference(parse_labels(text), want)
+    return want
+
+
+def label_line(**fields):
+    """LABEL_LINE with fields replaced by index (f1=..., f14=...); `drop`
+    removes the last field."""
+    tokens = LABEL_LINE.split()
+    for key, value in fields.items():
+        if key == "drop":
+            tokens = tokens[:-1]
+        else:
+            tokens[int(key[1:])] = value
+    return " ".join(tokens) + "\n"
+
+
+# One fault of each kind a label line can have, in the order a line is checked.
+FAULTY_LINES = {
+    "count": (label_line(drop=True), "expected 15 fields, got 14"),
+    "number": (label_line(f13="0x10"),
+               "could not convert string to float: '0x10'"),
+    "finite": (label_line(f13="nan"), "numeric fields must be finite"),
+    "occluded": (label_line(f2="0.5"), "occluded must be an integer"),
+    "dimensions": (label_line(f10="-4.2"), "box dimensions must be positive"),
+    "theta": (label_line(f14="3.5"), "theta must lie in [-pi, pi)"),
+}
+
+
+class TestLabelsEqualReferenceParser:
+    @given(st.one_of(st.text(), label_texts()))
+    def test_generated_texts(self, text):
+        assert_parse_equals_reference(text)
+
+    @pytest.mark.parametrize("first,second", [
+        ("count", "theta"), ("number", "finite"), ("occluded", "dimensions"),
+        ("dimensions", "number"), ("finite", "count"), ("theta", "occluded"),
+    ])
+    @pytest.mark.parametrize("order", ["as-listed", "swapped"])
+    def test_earliest_bad_line_wins(self, first, second, order):
+        if order == "swapped":
+            first, second = second, first
+        (line1, reason), (line2, _) = FAULTY_LINES[first], FAULTY_LINES[second]
+        exc = assert_parse_equals_reference(LABEL_LINE + line1 + "\n" + line2)
+        assert (exc.reason, exc.line) == (reason, 2)
+
+    @pytest.mark.parametrize("token,reason", [
+        ("1_000", None),
+        ("infinity", "numeric fields must be finite"),
+        ("0x10", "could not convert string to float: '0x10'"),
+        ("nan", "numeric fields must be finite"),
+        ("١٢", None),
+    ])
+    def test_float_spellings(self, token, reason):
+        got = assert_parse_equals_reference(label_line(f13=token))
+        if reason is None:
+            assert got[0].box3d.z == float(token)
+        else:
+            assert (got.reason, got.line) == (reason, 1)
+
+    def test_blank_lines_only(self):
+        assert assert_parse_equals_reference(" \n\n\t \n") == []
 
 
 class TestSceneConfig:
@@ -446,11 +627,8 @@ def assert_sampler_equals_reference(cfg):
     assert len(got) == len(expected)
     for frame, (g, objects) in zip(got, expected):
         assert frame.ground == g
-        assert [o.box3d for o in frame.objects] == [b for b, _ in objects]
-        assert [o.box2d for o in frame.objects] == [b2 for _, b2 in objects]
-        ref_labels = serialize_labels([replace(o, box3d=b, box2d=b2) for o, (b, b2)
-                                       in zip(frame.objects, objects)])
-        assert serialize_labels(frame.objects) == ref_labels
+        assert_table_equals_reference(frame.objects, [
+            LabeledObject("Car", 0.0, 0, 0.0, b2, b) for b, b2 in objects])
     return len(rejected)
 
 

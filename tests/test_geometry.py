@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gpk.dataio import BOX3D_DTYPE
 from gpk.errors import (
     BehindCamera,
     CollinearPoints,
@@ -22,7 +23,6 @@ from gpk.errors import (
     NonPositiveDepth,
 )
 from gpk.geometry import (
-    BBox3D,
     CameraAttitude,
     CameraIntrinsics,
     GroundPlane,
@@ -237,26 +237,31 @@ class TestAttitude:
         assert np.allclose(attitude_to_plane(att).normal, n, atol=1e-15)
 
 
+def box_column(boxes):
+    """A box3d column of (x, y, z, l, w, h, theta) boxes."""
+    return np.array(boxes, BOX3D_DTYPE).reshape(-1)
+
+
 class TestBottomCenter:
     def test_level_ground(self):
         g = GroundPlane(0.0, -1.0, 0.0, 6.0)
-        b = BBox3D(x=1.0, y=5.25, z=40.0, l=4.0, w=2.0, h=1.5, theta=0.0)
+        (b,) = box_column([(1.0, 5.25, 40.0, 4.0, 2.0, 1.5, 0.0)])
         assert np.allclose(bottom_center(b, g), [1.0, 6.0, 40.0])
 
     def test_offset_is_half_height_along_normal(self):
         rng = np.random.default_rng(9)
         g = random_plane(rng)
-        b = BBox3D(x=2.0, y=3.0, z=50.0, l=4.0, w=2.0, h=1.6, theta=0.3)
+        (b,) = box_column([(2.0, 3.0, 50.0, 4.0, 2.0, 1.6, 0.3)])
         p = bottom_center(b, g)
-        assert np.linalg.norm(p - b.center()) == pytest.approx(0.8, abs=1e-12)
+        assert np.linalg.norm(p - [b.x, b.y, b.z]) == pytest.approx(0.8, abs=1e-12)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 planes = st.builds(
     lambda r, p, h: attitude_to_plane(CameraAttitude(r, p, h)),
     st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(1e-3, 1e3))
-boxes = st.builds(
-    BBox3D, finite, finite, finite, st.floats(1e-6, 1e6), st.floats(1e-6, 1e6),
+boxes = st.tuples(
+    finite, finite, finite, st.floats(1e-6, 1e6), st.floats(1e-6, 1e6),
     st.floats(0.0, 1e6), st.floats(-math.pi, math.pi, exclude_max=True))
 intrinsics = st.builds(CameraIntrinsics, st.floats(1e-3, 1e5), st.floats(1e-3, 1e5),
                        st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
@@ -270,11 +275,12 @@ class TestArrayForms:
 
     @given(st.lists(boxes, max_size=8), planes)
     def test_bottom_centers_rows(self, bs, g):
-        rows = bottom_centers(bs, g)
+        column = box_column(bs)
+        rows = bottom_centers(column, g)
         assert rows.shape == (len(bs), 3)
-        for row, b in zip(rows, bs):
+        for row, b in zip(rows, column):
             with np.errstate(over="ignore"):
-                want = b.center() - 0.5 * b.h * g.normal
+                want = np.array([b.x, b.y, b.z]) - 0.5 * b.h * g.normal
             assert np.array_equal(row, bottom_center(b, g))
             assert np.array_equal(row, want)
 

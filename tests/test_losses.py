@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from gpk.dataio import SceneConfig, label_table, synthesize_scene
 from gpk.errors import DomainError
 from gpk.losses import (
     COMPONENT_NAMES,
     LossWeights,
     angle_loss,
     focal_loss,
+    frame_loss_components,
     giou_loss_2d,
     l1_loss,
     laplace_depth_loss,
@@ -202,3 +204,58 @@ class TestTotal:
     def test_wrong_component_count(self):
         with pytest.raises(DomainError):
             total_loss([1.0] * 7)
+
+
+def reference_frame_loss_components(pred, gt, denorm_l1):
+    """The per-object loop that frame_loss_components replaced: running sums
+    over the rows, then the mean."""
+    comps = dict.fromkeys(COMPONENT_NAMES, 0.0)
+    for p, g in zip(pred, gt):
+        comps["classification"] += 0.0 if p.category == g.category else 1.0
+        comps["size2d"] += sum(l1_loss(a, b)[0] for a, b in zip(p.box2d, g.box2d))
+        comps["center3d"] += sum(
+            l1_loss(a, b)[0]
+            for a, b in zip((p.box3d.x, p.box3d.y, p.box3d.z),
+                            (g.box3d.x, g.box3d.y, g.box3d.z)))
+        comps["giou"] += giou_loss_2d(p.box2d, g.box2d)
+        comps["size3d"] += sum(
+            l1_loss(a, b)[0]
+            for a, b in zip((p.box3d.l, p.box3d.w, p.box3d.h),
+                            (g.box3d.l, g.box3d.w, g.box3d.h)))
+        comps["angle"] += angle_loss(p.box3d.theta, g.box3d.theta)[0]
+        comps["depth"] += laplace_depth_loss(p.box3d.z, g.box3d.z, 1.0)[0]
+    for key in comps:
+        comps[key] /= max(len(pred), 1)
+    comps["denorm"] = denorm_l1
+    return comps
+
+
+class TestFrameLossComponents:
+    def test_equals_per_object_reference(self):
+        # Means of up to 200 float64 terms, summed pairwise instead of in
+        # row order: equal to within a few hundred ulps.
+        frames = synthesize_scene(SceneConfig(seed=3, n_frames=3,
+                                              objects_per_frame=200))
+        frames[1].objects.category[::7] = "Van"
+        for pred in frames:
+            for gt in frames:
+                got = frame_loss_components(pred.objects, gt.objects, 0.25)
+                want = reference_frame_loss_components(pred.objects, gt.objects,
+                                                       0.25)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_empty_tables(self):
+        empty = label_table([], [])
+        assert frame_loss_components(empty, empty, 0.5) == {
+            **dict.fromkeys(COMPONENT_NAMES, 0.0), "denorm": 0.5}
+
+    def test_first_degenerate_box_is_named(self):
+        # Row 1's label box is degenerate, and so is row 2's prediction.
+        rows = [(0, 0, 0, 10, 20, 30, 40, 1.5, 1.8, 4.2, 2, 4.5, 55, 0.25)] * 3
+        pred, gt = (label_table(["Car"] * 3, rows) for _ in range(2))
+        gt.box2d[1] = (10, 20, 10, 40)
+        pred.box2d[2] = (10, 20, 30, 5)
+        for got in (frame_loss_components, reference_frame_loss_components):
+            with pytest.raises(DomainError, match=r"degenerate box \(10.0, 20.0, "
+                               r"10.0, 40.0\)"):
+                got(pred, gt, 0.0)

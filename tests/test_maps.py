@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gpk.dataio import BOX3D_DTYPE
 from gpk.errors import (
     AllDegenerate,
     DimensionMismatch,
@@ -13,7 +14,6 @@ from gpk.errors import (
     ParseError,
 )
 from gpk.geometry import (
-    BBox3D,
     CameraAttitude,
     CameraIntrinsics,
     GroundPlane,
@@ -191,9 +191,8 @@ class TestRefinement:
             y = -(g.alpha * x + g.gamma * z + g.d) / g.beta
             h = rng.uniform(1.4, 1.7)
             c = np.array([x, y, z]) + 0.5 * h * g.normal
-            boxes.append(BBox3D(x=c[0], y=c[1], z=c[2], l=4.2, w=1.8, h=h,
-                                theta=0.0))
-        return boxes
+            boxes.append((c[0], c[1], c[2], 4.2, 1.8, h, 0.0))
+        return np.array(boxes, BOX3D_DTYPE)
 
     # Stride-8 intrinsics for the 64 x 116 maps used below.
     K8 = CameraIntrinsics(fx=125.0, fy=125.0, cx=58.0, cy=32.0)

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, Delaunay, QhullError
 
-from gpk.dataio import SceneConfig, synthesize_scene
+from gpk.dataio import BOX3D_DTYPE, SceneConfig, synthesize_scene
 from gpk.errors import (
     AllDegenerate,
     CollinearPoints,
@@ -21,10 +21,10 @@ from gpk.errors import (
     NonPositiveDepth,
 )
 from gpk.geometry import (
-    BBox3D,
     CameraIntrinsics,
     GroundPlane,
     bottom_center,
+    bottom_centers,
     plane_from_three_points,
     project_point,
 )
@@ -171,7 +171,7 @@ def test_refine_equals_reference_on_fleets(objects, frames, stride):
     for frame in synthesize_scene(cfg):
         k = frame.rig.intrinsics.scaled(stride)
         h, w = cfg.image_height // stride, cfg.image_width // stride
-        boxes = [o.box3d for o in frame.objects]
+        boxes = frame.objects.box3d
         planes, tri_id, stats = refine_map(frame.ground, boxes, k, h, w)
         want, want_stats = reference_refine(frame.ground, boxes, k, h, w)
         assert np.array_equal(planes[tri_id], want.data)
@@ -182,7 +182,7 @@ def test_triangulation_equals_reference():
     frame = synthesize_scene(SceneConfig(seed=3, n_frames=1,
                                          objects_per_frame=300))[0]
     k = frame.rig.intrinsics.scaled(16)
-    points = [bottom_center(o.box3d, frame.ground) for o in frame.objects]
+    points = bottom_centers(frame.objects.box3d, frame.ground)
     got, skipped = triangulate_ground_points(points, k)
     want, want_skipped = reference_triangulate(points, k)
     assert skipped == want_skipped and len(got) == len(want)
@@ -192,11 +192,16 @@ def test_triangulation_equals_reference():
         assert a.plane == b.plane
 
 
+def flat_boxes(points):
+    """A box3d column of flat boxes (h = 0) whose bottom centers are `points`."""
+    return np.array([(x, y, z, 1.0, 1.0, 0.0, 0.0) for x, y, z in points],
+                    BOX3D_DTYPE)
+
+
 def refine_like_reference(points):
     """refine_map's counters on boxes with these bottom centers, after
     checking its dense map and counters against the reference."""
-    boxes = [BBox3D(x=x, y=y, z=z, l=1.0, w=1.0, h=0.0, theta=0.0)
-             for x, y, z in points]
+    boxes = flat_boxes(points)
     k = CameraIntrinsics(fx=62.5, fy=62.5, cx=29.0, cy=16.0)
     g = GroundPlane(0.0, -1.0, 0.0, 6.0)
     planes, tri_id, stats = refine_map(g, boxes, k, 32, 58)
@@ -234,22 +239,37 @@ def test_near_camera_label_is_dropped(z):
     # at z = 1e-12, and none at all at z = 1e-300.
     frame = synthesize_scene(SceneConfig(seed=0, n_frames=1))[0]
     k, h, w = frame.map_grid(16)
-    boxes = [o.box3d for o in frame.objects]
+    boxes = frame.objects.box3d
     planes, tri_id, stats = refine_map(frame.ground, boxes, k, h, w)
     assert (stats["triangles"], stats["covered_pixels"]) == (68, 687)
-    near = BBox3D(x=1.0, y=2.0, z=z, l=4.0, w=1.8, h=0.0, theta=0.0)
-    got_planes, got_tri_id, got = refine_map(frame.ground, boxes + [near],
-                                             k, h, w)
+    near = np.array([(1.0, 2.0, z, 4.0, 1.8, 0.0, 0.0)], BOX3D_DTYPE)
+    got_planes, got_tri_id, got = refine_map(
+        frame.ground, np.concatenate([boxes, near]), k, h, w)
     assert np.array_equal(got_planes, planes)
     assert np.array_equal(got_tri_id, tri_id)
     assert got == {**stats, "dropped_points": 1}
 
 
+def test_triangulation_drops_near_camera_point():
+    # triangulate_ground_points keeps points for the image its intrinsics
+    # imply; unbounded, one more point at z = 1e-12 left 8 of 68 triangles.
+    frame = synthesize_scene(SceneConfig(seed=0, n_frames=1))[0]
+    k = frame.rig.intrinsics.scaled(16)
+    points = bottom_centers(frame.objects.box3d, frame.ground)
+    regions, skipped = triangulate_ground_points(points, k)
+    near, near_skipped = triangulate_ground_points(
+        np.vstack([points, [1.0, 2.0, 1e-12]]), k)
+    assert len(regions) == len(near) == 68 and near_skipped == skipped
+    for a, b in zip(near, regions):
+        assert np.array_equal(a.pixels, b.pixels) and a.plane == b.plane
+
+
 def test_overflowing_triple_is_skipped_like_reference():
     # Squared edge lengths overflow: plane_from_three_points calls the
-    # triple collinear, and the vectorized fit must skip it too.
+    # triple collinear, and the vectorized fit must skip it too. The
+    # camera's image (2·cy x 2·cx) holds all three pixels.
     points = [(0.0, 0.0, 1.0), (1e200, 0.0, 1.0), (0.0, 1e200, 1.0)]
-    k = CameraIntrinsics(fx=62.5, fy=62.5, cx=29.0, cy=16.0)
+    k = CameraIntrinsics(fx=1.0, fy=1.0, cx=1e200, cy=1e200)
     for triangulate in (triangulate_ground_points, reference_triangulate):
         with pytest.raises(AllDegenerate):
             triangulate(points, k)
@@ -311,8 +331,9 @@ def test_edge_through_pixel_center_equals_reference(triangle):
 
 # Points on a 1/8-pixel grid, at power-of-two depths, through a camera whose
 # projection returns them exactly: every edge function is then exact, and
-# the fill rule must partition the hull with no rounding to blame.
-K_UNIT = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
+# the fill rule must partition the hull with no rounding to blame. Its
+# image, 2·cy x 2·cx, is the H x W map.
+K_UNIT = CameraIntrinsics(fx=1.0, fy=1.0, cx=W / 2, cy=H / 2)
 grid_pixel = st.tuples(st.integers(-16, 8 * W + 16), st.integers(-16, 8 * H + 16))
 
 
@@ -321,7 +342,7 @@ grid_pixel = st.tuples(st.integers(-16, 8 * W + 16), st.integers(-16, 8 * H + 16
 def test_fill_rule_partitions_the_hull(samples):
     uv = np.array([pixel for pixel, _ in samples], dtype=float) / 8
     z = np.array([2.0 ** e for _, e in samples])
-    points = np.column_stack([uv * z[:, None], z])
+    points = np.column_stack([(uv - (K_UNIT.cx, K_UNIT.cy)) * z[:, None], z])
     try:
         regions, _ = triangulate_ground_points(points, K_UNIT)
     except (InsufficientPoints, AllDegenerate):
@@ -373,9 +394,7 @@ def point_sets(draw):
 
 @given(point_sets())
 def test_degenerate_point_sets_give_a_finite_map(points):
-    boxes = [BBox3D(x=x, y=y, z=z, l=1.0, w=1.0, h=0.0, theta=0.0)
-             for x, y, z in points]
-    planes, tri_id, stats = refine_map(GROUND, boxes, K_MAP, H, W)
+    planes, tri_id, stats = refine_map(GROUND, flat_boxes(points), K_MAP, H, W)
     assert np.isfinite(planes[tri_id]).all()
     kept = [p for p in points if in_map(p, K_MAP, H, W)]
     assert stats["dropped_points"] == len(points) - len(kept)
