@@ -93,8 +93,6 @@ from .mapfile import (
     load_denorm_map,
     load_depth_map,
     pack_map,
-    save_denorm_map,
-    save_depth_map,
     unpack_map,
 )
 from .maps import (

@@ -356,9 +356,22 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _labels_with_boxes(name: str, path):
+    """A label file's table. The losses read its 2D boxes, which parse_labels
+    does not check: each needs right > left and bottom > top."""
+    text = _read_input(name, path)
+    objects = parse_labels(text)
+    left, top, right, bottom = objects.box2d.T
+    bad = np.flatnonzero((right <= left) | (bottom <= top))
+    if bad.size:
+        line = [n for n, s in enumerate(text.splitlines(), 1) if s.split()][bad[0]]
+        raise ParseError(f"2D box needs right > left, bottom > top in {path}", line)
+    return objects
+
+
 def cmd_losses(args) -> int:
-    pred = parse_labels(_read_input("pred", args.pred))
-    gt = parse_labels(_read_input("labels", args.labels))
+    pred = _labels_with_boxes("pred", args.pred)
+    gt = _labels_with_boxes("labels", args.labels)
     denorm_l1 = 0.0
     if args.pred_denorm or args.denorm:
         if not (args.pred_denorm and args.denorm):

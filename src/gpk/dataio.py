@@ -199,8 +199,8 @@ def parse_ground_plane(text: str) -> GroundPlane:
     """Parse a denorm file: four whitespace-separated reals.
 
     A plane that already has a unit normal and d > 0 is kept as written,
-    so serialized planes parse back bit-exactly; any other plane is
-    normalized.
+    so serialized planes parse back bit-exactly; GroundPlane.from_raw
+    normalizes any other plane, at any scale, or rejects it (ParseError).
     """
     vals = text.split()
     if len(vals) != 4:
@@ -213,15 +213,9 @@ def parse_ground_plane(text: str) -> GroundPlane:
         return GroundPlane(a, b, c, d)
     except (ValueError, DegeneratePlane):
         pass
-    # from_raw squares the normal, which overflows past ~1e154 and rounds
-    # to subnormals below ~1e-154. Scaling all four by a power of two first
-    # is exact, so every plane between those keeps its bits.
-    _, e = math.frexp(max(abs(a), abs(b), abs(c)))
     try:
-        return GroundPlane.from_raw(*(math.ldexp(v, -e) for v in (a, b, c, d)))
-    except OverflowError:  # only d can overflow: the scaled normal is below 1
-        raise ParseError("bad ground plane: d is too large for its normal") from None
-    except (ValueError, DegeneratePlane) as exc:
+        return GroundPlane.from_raw(a, b, c, d)
+    except DegeneratePlane as exc:
         raise ParseError(f"bad ground plane: {exc}") from None
 
 

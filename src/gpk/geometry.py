@@ -65,6 +65,24 @@ class CameraIntrinsics:
         )
 
 
+def unit_planes(raw):
+    """(planes, ok) of (n, 4) rows (alpha, beta, gamma, d) scaled to unit
+    normals with d > 0. Each row is first scaled by the power of two that
+    brings its largest normal component into [0.5, 1), which is exact, so
+    squaring the normal neither overflows nor underflows. A row is not ok
+    if its normal is zero or not finite (it then comes out not finite) or
+    its normalized d is not finite or below 1e-12 (origin on the plane)."""
+    raw = np.asarray(raw, dtype=float).reshape(-1, 4)
+    with np.errstate(all="ignore"):
+        _, e = np.frexp(np.max(np.abs(raw[:, :3]), axis=1, initial=0.0))
+        a, b, c, d = np.ldexp(raw, -e[:, None]).T
+        norm = np.sqrt(a * a + b * b + c * c)
+        s = 1.0 / norm
+        s = np.where(d * s < 0, -s, s)
+        planes = np.stack([a * s, b * s, c * s, d * s], axis=1)
+    return planes, np.isfinite(planes).all(axis=1) & (planes[:, 3] >= 1e-12)
+
+
 @dataclass(frozen=True)
 class GroundPlane:
     """Plane {p : alpha*x + beta*y + gamma*z + d = 0} in camera coordinates."""
@@ -87,16 +105,15 @@ class GroundPlane:
     @classmethod
     def from_raw(cls, alpha, beta, gamma, d) -> "GroundPlane":
         """Normalize arbitrary (alpha, beta, gamma, d) to unit normal, d > 0."""
-        norm = math.sqrt(alpha * alpha + beta * beta + gamma * gamma)
-        if norm < 1e-300 or not math.isfinite(norm):
-            raise DegeneratePlane("zero or non-finite normal")
-        s = 1.0 / norm
-        if d * s < 0:
-            s = -s
-        dn = d * s
-        if dn < 1e-12:
+        planes, ok = unit_planes([alpha, beta, gamma, d])
+        a, b, c, dn = planes[0].tolist()
+        if not ok[0]:
+            if not math.isfinite(a + b + c):
+                raise DegeneratePlane("zero or non-finite normal")
+            if not math.isfinite(dn):
+                raise DegeneratePlane("normalized d is not finite")
             raise DegeneratePlane("camera origin lies on the plane (d = 0)")
-        return cls(alpha * s, beta * s, gamma * s, dn)
+        return cls(a, b, c, dn)
 
     @property
     def normal(self) -> np.ndarray:

@@ -69,22 +69,12 @@ def unpack_map(blob: bytes):
     return data.copy(), mask
 
 
-def save_depth_map(path, m: GroundDepthMap) -> None:
-    with open(path, "wb") as f:
-        f.write(pack_map(m.depth, m.valid))
-
-
 def load_depth_map(path) -> GroundDepthMap:
     with open(path, "rb") as f:
         data, mask = unpack_map(f.read())
     if data.shape[2] != 1 or mask is None:
         raise ParseError("not a depth map (expect 1 channel with mask)")
     return GroundDepthMap(depth=data[:, :, 0].astype(float), valid=mask)
-
-
-def save_denorm_map(path, m: DenormMap) -> None:
-    with open(path, "wb") as f:
-        f.write(pack_map(m.data))
 
 
 def load_denorm_map(path) -> DenormMap:

@@ -24,7 +24,7 @@ from .errors import (
     InsufficientPoints,
 )
 from .geometry import (_HORIZON_TOL, CameraIntrinsics, GroundPlane,
-                       bottom_centers, project_points)
+                       bottom_centers, project_points, unit_planes)
 
 
 @dataclass
@@ -40,10 +40,6 @@ class DenormMap:
     """Per-pixel plane equation map, channels (alpha, beta, gamma, d)."""
 
     data: np.ndarray  # (h, w, 4) float64
-
-    def plane_at(self, row: int, col: int) -> GroundPlane:
-        a, b, c, d = self.data[row, col]
-        return GroundPlane(float(a), float(b), float(c), float(d))
 
 
 @dataclass
@@ -134,12 +130,12 @@ def _fit_sub_planes(usable: np.ndarray, pts2d: np.ndarray):
     sub-planes.
 
     Returns (points3d (T, 3, 3), pixels (T, 3, 2), planes (T, 4), skipped)
-    for the T fitted triangles, in Delaunay order. Every triangle is fitted
-    at once with the expressions of plane_from_three_points and
-    GroundPlane.from_raw, element by element, so each plane equals theirs
-    bit for bit. Skipped and counted: collinear or origin-crossing triples,
-    triangles collinear in image space, and planes that miss one of their
-    generating points by more than 1e-9 (nearly collinear triples).
+    for the T fitted triangles, in Delaunay order. All triangles are fitted
+    at once with plane_from_three_points' expressions and unit_planes, so
+    each plane equals plane_from_three_points' bit for bit. Skipped and
+    counted: collinear or origin-crossing triples, triangles collinear in
+    image space, and planes that miss one of their generating points by
+    more than 1e-9 (nearly collinear triples).
     """
     if len(usable) < 3:
         raise InsufficientPoints(f"{len(usable)} usable points, need 3")
@@ -167,22 +163,13 @@ def _fit_sub_planes(usable: np.ndarray, pts2d: np.ndarray):
         # float_power is C pow, as Python's ** is; x * x can round differently.
         sq = np.float_power(edges, 2)
         e1, e2 = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2]).T
-        norm = np.sqrt(a * a + b * b + c * c)
-        collinear = norm <= 1e-9 * np.maximum(e1 * e2, 1e-300)
-        s = 1.0 / norm
-        s = np.where(d * s < 0, -s, s)
-        planes = np.stack([a * s, b * s, c * s, d * s], axis=1)
-        fitted = ~(collinear | (norm < 1e-300) | ~np.isfinite(norm)
-                   | (planes[:, 3] < 1e-12))
-        sq = np.float_power(planes[:, :3], 2)
-        unit = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+        collinear = (np.sqrt(a * a + b * b + c * c)
+                     <= 1e-9 * np.maximum(e1 * e2, 1e-300))
+        planes, fitted = unit_planes(np.stack([a, b, c, d], axis=1))
         off = (planes[:, None, 0] * p3[..., 0] + planes[:, None, 1] * p3[..., 1]
                + planes[:, None, 2] * p3[..., 2] + planes[:, None, 3])
         flat = _signed_area2(p2) == 0.0
-    invalid = ~np.isfinite(planes).all(axis=1) | (np.abs(unit - 1.0) > 1e-12)
-    if (fitted & invalid).any():
-        raise ValueError("fitted plane is not finite with a unit normal")
-    keep = fitted & ~flat & (np.abs(off) <= 1e-9).all(axis=1)
+    keep = fitted & ~collinear & ~flat & (np.abs(off) <= 1e-9).all(axis=1)
     if not keep.any():
         raise AllDegenerate("all candidate triangles are degenerate")
     return p3[keep], p2[keep], planes[keep], int(keep.size - keep.sum())

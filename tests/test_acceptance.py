@@ -57,7 +57,7 @@ from gpk.geometry import (
     project_point,
 )
 from gpk.losses import focal_loss, l1_loss, laplace_depth_loss, total_loss
-from gpk.mapfile import load_denorm_map, load_depth_map, save_denorm_map, save_depth_map
+from gpk.mapfile import load_denorm_map, load_depth_map, pack_map
 from gpk.maps import (
     DenormMap,
     GroundDepthMap,
@@ -381,16 +381,16 @@ def test_11_format_and_cli_reproducibility(tmp_path):
         depth=rng.uniform(0, 250, (41, 67)).astype(np.float32).astype(float),
         valid=rng.random((41, 67)) > 0.4,
     )
-    save_depth_map(tmp_path / "d.gpkm", depth)
+    (tmp_path / "d.gpkm").write_bytes(pack_map(depth.depth, depth.valid))
     d2 = load_depth_map(tmp_path / "d.gpkm")
-    save_depth_map(tmp_path / "d2.gpkm", d2)
+    (tmp_path / "d2.gpkm").write_bytes(pack_map(d2.depth, d2.valid))
     gpkm_ok = (tmp_path / "d.gpkm").read_bytes() == (
         tmp_path / "d2.gpkm"
     ).read_bytes()
     denorm = DenormMap(
         data=rng.standard_normal((17, 23, 4)).astype(np.float32).astype(float)
     )
-    save_denorm_map(tmp_path / "m.gpkm", denorm)
+    (tmp_path / "m.gpkm").write_bytes(pack_map(denorm.data))
     gpkm_ok &= np.array_equal(load_denorm_map(tmp_path / "m.gpkm").data,
                               denorm.data)
     # Text round-trips on generated frames.

@@ -516,6 +516,20 @@ class TestLosses:
         assert run(["losses", "--pred", str(one), "--labels", str(label)]) == 1
         assert "object counts differ: 1 vs 40" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("box", ["30 20 10 40", "10 40 30 20", "10 20 10 40"])
+    @pytest.mark.parametrize("bad", ["pred", "labels"])
+    def test_bad_2d_box_names_file_and_line(self, tmp_path, capsys, box, bad):
+        good = "Car 0 0 0 10 20 30 40 1.5 1.8 4.2 2 4.5 55 0.25\n"
+        files = {name: tmp_path / f"{name}.txt" for name in ("pred", "labels")}
+        for name, path in files.items():
+            path.write_text(good)
+        files[bad].write_text("\n" + good + good.replace("10 20 30 40", box))
+        assert run(["losses", "--pred", str(files["pred"]),
+                    "--labels", str(files["labels"])]) == 1
+        assert capsys.readouterr().err == (
+            f"error: line 3: 2D box needs right > left, bottom > top "
+            f"in {files[bad]}\n")
+
 
 class TestCheckAttn:
     def test_all_invariants_pass(self, capsys):

@@ -8,10 +8,12 @@ Oracles used here:
 """
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gpk.dataio import BOX3D_DTYPE
@@ -42,6 +44,7 @@ from gpk.geometry import (
     rotate_plane,
     rotation_pitch,
     rotation_roll,
+    unit_planes,
 )
 
 K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=464.0, cy=256.0)
@@ -196,8 +199,10 @@ class TestPlaneFit:
             plane_from_three_points([0, 1, 1], [0, 1, 2], [0, 1, 3])
 
     def test_overflowing_edges_are_collinear(self):
-        # The edge lengths' squares overflow a float; maps._fit_sub_planes
-        # classifies the same triple as collinear.
+        # The points span a plane, but the squares of their edge lengths
+        # overflow a float, so collinearity cannot be judged relative to
+        # the edges and the triple counts as collinear. maps._fit_sub_planes,
+        # whose float_power gives an infinite edge, skips it the same way.
         with pytest.raises(CollinearPoints):
             plane_from_three_points((0, 0, 0), (1e200, 0, 0), (0, 1e200, 0))
 
@@ -298,6 +303,90 @@ class TestArrayForms:
             else:
                 with pytest.raises(ValueError):
                     project_point(p, k)
+
+
+def reference_from_raw(alpha, beta, gamma, d) -> GroundPlane:
+    """GroundPlane.from_raw as it was before unit_planes: no power-of-two
+    prescale, so squaring the normal overflows past ~1e154 and underflows
+    below ~1e-154."""
+    norm = math.sqrt(alpha * alpha + beta * beta + gamma * gamma)
+    if norm < 1e-300 or not math.isfinite(norm):
+        raise DegeneratePlane("zero or non-finite normal")
+    s = 1.0 / norm
+    if d * s < 0:
+        s = -s
+    dn = d * s
+    if dn < 1e-12:
+        raise DegeneratePlane("camera origin lies on the plane (d = 0)")
+    return GroundPlane(alpha * s, beta * s, gamma * s, dn)
+
+
+def plane_bits(g: GroundPlane) -> list:
+    return np.array(g.params()).view(np.int64).tolist()
+
+
+def normal_square(v: float) -> bool:
+    return v == 0 or sys.float_info.min <= v * v <= sys.float_info.max
+
+
+# Components whose squares are normal floats (magnitudes 2^-511 to 2^511),
+# mixed with any float at all.
+moderate = st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True,
+                                            exclude_max=True),
+                     st.integers(-510, 511))
+component = st.one_of(st.just(0.0), moderate, st.floats())
+# Components a scale of 2^±1000 keeps normal.
+scalable = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+
+
+class TestUnitPlanes:
+    @given(component, component, component, st.one_of(moderate, st.floats()))
+    def test_equals_reference_where_squares_are_normal(self, a, b, c, d):
+        assume(all(normal_square(v) for v in (a, b, c))
+               and a * a + b * b + c * c <= sys.float_info.max)
+        # A d near the largest float can overflow once scaled with a normal
+        # below 0.5, where the unscaled d / norm does not.
+        _, e = math.frexp(max(abs(a), abs(b), abs(c)))
+        assume(not math.isfinite(d) or e >= 0 or abs(d) < math.ldexp(1.0, 1024 + e))
+        try:
+            want = reference_from_raw(a, b, c, d)
+        except DegeneratePlane as exc:
+            with pytest.raises(DegeneratePlane, match=re.escape(str(exc))):
+                GroundPlane.from_raw(a, b, c, d)
+            return
+        except ValueError:  # a d that is not finite, or overflows normalized
+            with pytest.raises(DegeneratePlane, match="normalized d is not finite"):
+                GroundPlane.from_raw(a, b, c, d)
+            return
+        assert plane_bits(GroundPlane.from_raw(a, b, c, d)) == plane_bits(want)
+
+    @given(scalable, scalable, scalable, st.floats(1e-3, 1e3),
+           st.integers(-1000, 1000))
+    def test_power_of_two_scale_gives_the_same_bits(self, a, b, c, d, k):
+        assume(a or b or c)
+        scaled = [math.ldexp(v, k) for v in (a, b, c, d)]
+        assert (plane_bits(GroundPlane.from_raw(*scaled))
+                == plane_bits(GroundPlane.from_raw(a, b, c, d)))
+
+    def test_normals_past_the_square_range(self):
+        assert GroundPlane.from_raw(0, -1e200, 0, 6e200) == GroundPlane(0, -1, 0, 6)
+        assert GroundPlane.from_raw(1.04e-156, 0, -9e-219, 1.32).alpha == 1.0
+
+    @pytest.mark.parametrize("d", [math.inf, math.nan, 1e300])
+    def test_d_not_finite_once_normalized_is_degenerate(self, d):
+        with pytest.raises(DegeneratePlane, match="normalized d is not finite"):
+            GroundPlane.from_raw(0.0, -1e-300, 0.0, d)
+
+    def test_rows_are_independent(self):
+        raw = [[0, -2, 0, 12], [0, 0, 0, 1], [2.0 ** -1000, 0, 0, -5 * 2.0 ** -1000],
+               [0, -1, 0, 0], [math.nan, -1, 0, 6]]
+        planes, ok = unit_planes(raw)
+        assert ok.tolist() == [True, False, True, False, False]
+        assert planes[[0, 2]].tolist() == [[0, -1, 0, 6], [-1, 0, 0, 5]]
+        for row, plane, fine in zip(raw, planes, ok):
+            one, one_ok = unit_planes(row)
+            assert one_ok.tolist() == [fine]
+            assert np.array_equal(one[0], plane, equal_nan=True)
 
 
 class TestPerturbation:
