@@ -20,14 +20,12 @@ from .attention import (
     BlockWeights,
     DecoderWeights,
     FeatureSequence,
-    QuerySet,
+    cross_attention,
     decoder_block,
     decoder_stack,
     ffn,
-    ground_cross_attention,
     positional_encoding,
     self_attention,
-    visual_cross_attention,
 )
 from .dataio import (
     BOX3D_DTYPE,
@@ -83,6 +81,7 @@ from .geometry import (
 from .losses import (
     LossWeights,
     angle_loss,
+    denorm_l1,
     focal_loss,
     giou_loss_2d,
     l1_loss,
@@ -101,7 +100,6 @@ from .maps import (
     TriangleRegion,
     build_global_denorm_map,
     build_ground_depth_map,
-    denorm_l1_loss,
     refine_map,
     triangulate_ground_points,
 )

@@ -1,10 +1,11 @@
 """Forward-only reference attention blocks for the ground-guided decoder.
 
 Deterministic, numpy-only implementations of multi-head self-attention,
-cross-attention against ground/visual token sequences, the feed-forward
-sublayer, and the decoder block that chains them. Intended for invariant
-and fixture testing, not training: weights are seeded-random and there is
-no backward pass.
+cross-attention of one token sequence over another, the feed-forward
+sublayer, and the decoder block that chains them. Object queries, ground
+embeddings and visual features are all `FeatureSequence`s, told apart by
+their role. Intended for invariant and fixture testing, not training:
+weights are seeded-random and there is no backward pass.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def _as_finite_matrix(x, name: str) -> np.ndarray:
 
 @dataclass
 class FeatureSequence:
-    """T x C token matrix with a role tag (visual or ground)."""
+    """T x C token matrix with a role tag (visual, ground or query)."""
 
     tokens: np.ndarray
     role: str = ROLE_VISUAL
@@ -47,24 +48,6 @@ class FeatureSequence:
     @property
     def c(self) -> int:
         return self.tokens.shape[1]
-
-
-@dataclass
-class QuerySet:
-    """N x C object-query matrix."""
-
-    queries: np.ndarray
-
-    def __post_init__(self):
-        self.queries = _as_finite_matrix(self.queries, "queries")
-
-    @property
-    def n(self) -> int:
-        return self.queries.shape[0]
-
-    @property
-    def c(self) -> int:
-        return self.queries.shape[1]
 
 
 @dataclass
@@ -205,32 +188,23 @@ def self_attention(x: FeatureSequence, w: BlockWeights) -> FeatureSequence:
     return FeatureSequence(tokens=out, role=x.role)
 
 
+def _ffn(x: np.ndarray, w: BlockWeights) -> np.ndarray:
+    if x.shape[1] != w.c:
+        raise ShapeMismatch(f"channel mismatch: {x.shape[1]} vs {w.c}")
+    return np.maximum(x @ w.w1 + w.b1, 0.0) @ w.w2 + w.b2
+
+
 def ffn(x: FeatureSequence, w: BlockWeights) -> FeatureSequence:
     """Tokenwise Linear -> ReLU -> Linear."""
-    if x.c != w.c:
-        raise ShapeMismatch(f"channel mismatch: {x.c} vs {w.c}")
-    h = np.maximum(x.tokens @ w.w1 + w.b1, 0.0)
-    return FeatureSequence(tokens=h @ w.w2 + w.b2, role=x.role)
+    return FeatureSequence(tokens=_ffn(x.tokens, w), role=x.role)
 
 
-def ground_cross_attention(
-    q: QuerySet, fg: FeatureSequence, w: BlockWeights
-) -> tuple[QuerySet, AttentionMap]:
-    """Queries attend over ground embeddings; also returns the N x T map."""
-    if fg.role != ROLE_GROUND:
-        raise ShapeMismatch(f"expected ground embeddings, got role {fg.role!r}")
-    out, amap = _multi_head(q.queries, fg.tokens, w)
-    return QuerySet(queries=out), AttentionMap(weights=amap)
-
-
-def visual_cross_attention(
-    q: QuerySet, fv: FeatureSequence, w: BlockWeights
-) -> QuerySet:
-    """Queries attend over visual tokens."""
-    if fv.role != ROLE_VISUAL:
-        raise ShapeMismatch(f"expected visual features, got role {fv.role!r}")
-    out, _ = _multi_head(q.queries, fv.tokens, w)
-    return QuerySet(queries=out)
+def cross_attention(
+    q: FeatureSequence, memory: FeatureSequence, w: BlockWeights
+) -> tuple[FeatureSequence, AttentionMap]:
+    """q's tokens attend over memory's; also returns the N x T map."""
+    out, amap = _multi_head(q.tokens, memory.tokens, w)
+    return FeatureSequence(tokens=out, role=q.role), AttentionMap(weights=amap)
 
 
 @dataclass
@@ -254,31 +228,35 @@ class DecoderWeights:
 
 
 def decoder_block(
-    q: QuerySet,
+    q: FeatureSequence,
     fg: FeatureSequence,
     fv: FeatureSequence,
     w: DecoderWeights,
-) -> tuple[QuerySet, AttentionMap]:
+) -> tuple[FeatureSequence, AttentionMap]:
     """Ground cross-attn -> query self-attn -> visual cross-attn -> FFN.
 
-    Every sublayer adds a residual connection so stacked blocks stay
+    q, fg and fv must carry the query, ground and visual roles. Every
+    sublayer adds a residual connection so stacked blocks stay
     well-conditioned; returns the updated queries and the ground
     attention map of this block.
     """
-    qg, amap = ground_cross_attention(q, fg, w.ground)
-    x = q.queries + qg.queries
-    x = x + self_attention(FeatureSequence(x, ROLE_QUERY), w.self_attn).tokens
-    x = x + visual_cross_attention(QuerySet(x), fv, w.visual).queries
-    x = x + ffn(FeatureSequence(x, ROLE_QUERY), w.feed_forward).tokens
-    return QuerySet(queries=x), amap
+    for seq, role in ((q, ROLE_QUERY), (fg, ROLE_GROUND), (fv, ROLE_VISUAL)):
+        if seq.role != role:
+            raise ShapeMismatch(f"expected {role} tokens, got role {seq.role!r}")
+    qg, amap = _multi_head(q.tokens, fg.tokens, w.ground)
+    x = q.tokens + qg
+    x = x + _multi_head(x, x, w.self_attn)[0]
+    x = x + _multi_head(x, fv.tokens, w.visual)[0]
+    x = x + _ffn(x, w.feed_forward)
+    return FeatureSequence(tokens=x, role=ROLE_QUERY), AttentionMap(weights=amap)
 
 
 def decoder_stack(
-    q: QuerySet,
+    q: FeatureSequence,
     fg: FeatureSequence,
     fv: FeatureSequence,
     blocks,
-) -> tuple[QuerySet, AttentionMap]:
+) -> tuple[FeatureSequence, AttentionMap]:
     """Apply decoder blocks in sequence; returns the last block's map."""
     blocks = list(blocks)
     if not blocks:
@@ -320,17 +298,25 @@ def matrix_digest(m: np.ndarray) -> str:
     return f"{fnv1a64(canon.tobytes(order='C')):016x}"
 
 
+def decoder_inputs(rng, n: int, t_ground: int, t_visual: int, c: int,
+                   heads: int, seed: int):
+    """(queries, ground, visual, blocks) of a seeded 3-block decoder run:
+    standard-normal tokens drawn from rng in that order, and block i's
+    weights seeded with seed + 1 + i."""
+    q = FeatureSequence(rng.standard_normal((n, c)), ROLE_QUERY)
+    fg = FeatureSequence(rng.standard_normal((t_ground, c)), ROLE_GROUND)
+    fv = FeatureSequence(rng.standard_normal((t_visual, c)), ROLE_VISUAL)
+    blocks = [DecoderWeights.create(c, heads, seed + 1 + i) for i in range(3)]
+    return q, fg, fv, blocks
+
+
 def decoder_fixture(
     n: int, t_ground: int, t_visual: int, c: int, heads: int, seed: int
 ) -> dict:
     """Deterministic regression fixture for a 3-block decoder stack run."""
-    blocks = 3
-    rng = np.random.default_rng(seed)
-    q = QuerySet(rng.standard_normal((n, c)))
-    fg = FeatureSequence(rng.standard_normal((t_ground, c)), ROLE_GROUND)
-    fv = FeatureSequence(rng.standard_normal((t_visual, c)), ROLE_VISUAL)
-    weights = [DecoderWeights.create(c, heads, seed + 1 + i) for i in range(blocks)]
-    out, amap = decoder_stack(q, fg, fv, weights)
+    q, fg, fv, blocks = decoder_inputs(np.random.default_rng(seed), n,
+                                       t_ground, t_visual, c, heads, seed)
+    out, amap = decoder_stack(q, fg, fv, blocks)
     return {
         "shapes": {
             "queries": [n, c],
@@ -338,10 +324,10 @@ def decoder_fixture(
             "visual": [t_visual, c],
         },
         "heads": heads,
-        "blocks": blocks,
+        "blocks": len(blocks),
         "seed": seed,
         "digests": {
-            "queries_out": matrix_digest(out.queries),
+            "queries_out": matrix_digest(out.tokens),
             "ground_attention": matrix_digest(amap.weights),
         },
     }

@@ -40,7 +40,7 @@ from .dataio import (
     synthesize_scene,
 )
 from .errors import ConfigError, GpkError, ParseError
-from .losses import COMPONENT_NAMES, frame_loss_components, total_loss
+from .losses import COMPONENT_NAMES, denorm_l1, frame_loss_components, total_loss
 from .mapfile import pack_map
 from .maps import build_ground_depth_map, refine_map
 
@@ -132,25 +132,34 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
+def _read_input(name: str, path) -> str:
+    if not os.path.exists(path):
+        raise ParseError(f"missing {name} file: {path}")
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name} file is not UTF-8 text: {path} ({exc})") from None
+
+
 def _load_config_file(path) -> dict:
     """key=value lines; '#' comments; values parsed as int/float/str."""
-    cfg = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
+    cfg, text = {}, _read_input("config", path)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError("expected key=value", lineno)
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        for cast in (int, float):
+            try:
+                val = cast(val)
+                break
+            except ValueError:
                 continue
-            if "=" not in line:
-                raise ParseError("expected key=value", lineno)
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            for cast in (int, float):
-                try:
-                    val = cast(val)
-                    break
-                except ValueError:
-                    continue
-            cfg[key] = val
+        cfg[key] = val
     return cfg
 
 
@@ -186,13 +195,6 @@ def _scene_config(args) -> SceneConfig:
 
 
 _REAL_INPUTS = ("calib", "labels", "denorm")
-
-
-def _read_input(name: str, path) -> str:
-    if not os.path.exists(path):
-        raise ParseError(f"missing {name} file: {path}")
-    with open(path) as f:
-        return f.read()
 
 
 def _load_real_frame(args) -> FrameRecord:
@@ -288,8 +290,8 @@ def _perturbation_pairs(n: int, sigma: float, seed: int):
 
 def cmd_perturb(args) -> int:
     out = _Output(args)
-    if args.sigma < 0:
-        raise ParseError("--sigma must be >= 0")
+    if not (np.isfinite(args.sigma) and args.sigma >= 0):
+        raise ParseError("--sigma must be finite and >= 0")
     frames, inputs = _frames_from_args(args)
     pairs = _perturbation_pairs(len(frames), args.sigma, args.seed or 0)
     quantities = ([args.quantity] if args.quantity else list(analysis.QUANTITIES))
@@ -372,14 +374,14 @@ def _labels_with_boxes(name: str, path):
 def cmd_losses(args) -> int:
     pred = _labels_with_boxes("pred", args.pred)
     gt = _labels_with_boxes("labels", args.labels)
-    denorm_l1 = 0.0
+    plane_l1 = 0.0
     if args.pred_denorm or args.denorm:
         if not (args.pred_denorm and args.denorm):
             raise ParseError("need both --pred-denorm and --denorm")
         gp = parse_ground_plane(_read_input("pred-denorm", args.pred_denorm))
         gg = parse_ground_plane(_read_input("denorm", args.denorm))
-        denorm_l1 = float(np.mean(np.abs(gp.params() - gg.params())))
-    comps = frame_loss_components(pred, gt, denorm_l1)
+        plane_l1 = denorm_l1(gp.params(), gg.params())
+    comps = frame_loss_components(pred, gt, plane_l1)
     total = total_loss(comps)
     for name in COMPONENT_NAMES:
         print(f"{name}: {comps[name]:.6f}")
@@ -391,19 +393,14 @@ def _attention_checks(seed: int):
     """(name, passed) pairs for the attention invariant suite."""
     rng = np.random.default_rng(seed)
     n, tg, tv, c, h = 8, 12, 20, 16, 4
-    q = attention.QuerySet(rng.standard_normal((n, c)))
-    fg = attention.FeatureSequence(rng.standard_normal((tg, c)),
-                                   attention.ROLE_GROUND)
-    fv = attention.FeatureSequence(rng.standard_normal((tv, c)),
-                                   attention.ROLE_VISUAL)
-    blocks = [attention.DecoderWeights.create(c, h, seed + 1 + i)
-              for i in range(3)]
+    q, fg, fv, blocks = attention.decoder_inputs(rng, n, tg, tv, c, h, seed)
     out1, amap1 = attention.decoder_stack(q, fg, fv, blocks)
     out2, amap2 = attention.decoder_stack(q, fg, fv, blocks)
     row_sums = amap1.weights.sum(axis=1)
     perm = rng.permutation(n)
     out_p, amap_p = attention.decoder_stack(
-        attention.QuerySet(q.queries[perm]), fg, fv, blocks
+        attention.FeatureSequence(q.tokens[perm], attention.ROLE_QUERY),
+        fg, fv, blocks,
     )
     sa = attention.self_attention(fv, blocks[0].self_attn)
     tperm = rng.permutation(tv)
@@ -416,15 +413,15 @@ def _attention_checks(seed: int):
         ("entries in [0, 1]",
          bool(np.all(amap1.weights >= 0) and np.all(amap1.weights <= 1))),
         ("query permutation equivariance",
-         bool(np.max(np.abs(out_p.queries - out1.queries[perm])) <= 1e-9
+         bool(np.max(np.abs(out_p.tokens - out1.tokens[perm])) <= 1e-9
               and np.max(np.abs(amap_p.weights - amap1.weights[perm])) <= 1e-9)),
         ("token permutation equivariance",
          bool(np.max(np.abs(sa_p.tokens - sa.tokens[tperm])) <= 1e-9)),
         ("3-block stack finite N x C",
-         bool(out1.queries.shape == (n, c)
-              and np.all(np.isfinite(out1.queries)))),
+         bool(out1.tokens.shape == (n, c)
+              and np.all(np.isfinite(out1.tokens)))),
         ("bit-identical repeated runs",
-         bool(np.array_equal(out1.queries, out2.queries)
+         bool(np.array_equal(out1.tokens, out2.tokens)
               and np.array_equal(amap1.weights, amap2.weights))),
     ]
 

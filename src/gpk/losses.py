@@ -1,6 +1,7 @@
 """Detection losses with analytic gradients: focal, L1, GIoU, angle,
 Laplace-uncertainty depth, the weighted total, and the per-frame
-components between two label files."""
+components between two label files; plus the denorm L1 between two
+plane-equation arrays."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DimensionMismatch, DomainError, ParseError
 
 COMPONENT_NAMES = (
     "classification",
@@ -56,6 +57,15 @@ def l1_loss(pred: float, target: float) -> tuple[float, float]:
     """|pred - target| and its (sub)gradient w.r.t. pred (0 at the kink)."""
     diff = float(pred) - float(target)
     return abs(diff), float(np.sign(diff))
+
+
+def denorm_l1(pred, label) -> float:
+    """Mean |pred - label| over every entry of two equal-shape arrays of
+    (alpha, beta, gamma, d): one plane's params() or a map's data."""
+    pred, label = np.asarray(pred, dtype=float), np.asarray(label, dtype=float)
+    if pred.shape != label.shape:
+        raise DimensionMismatch(f"{pred.shape} vs {label.shape}")
+    return float(np.mean(np.abs(pred - label)))
 
 
 def angle_loss(pred: float, target: float) -> tuple[float, float]:

@@ -302,11 +302,3 @@ def refine_map(g_initial: GroundPlane, boxes, k: CameraIntrinsics, h: int, w: in
     stats["covered_pixels"] = int(np.count_nonzero(tri_id >= 0))
     return np.vstack([planes, g_initial.params()]), tri_id, stats
 
-
-def denorm_l1_loss(pred: DenormMap, label: DenormMap) -> float:
-    """Mean absolute difference over all h*w*4 entries."""
-    if pred.data.shape != label.data.shape:
-        raise DimensionMismatch(
-            f"{pred.data.shape} vs {label.data.shape}"
-        )
-    return float(np.mean(np.abs(pred.data - label.data)))

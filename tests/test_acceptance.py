@@ -21,10 +21,10 @@ from gpk.analysis import (
 )
 from gpk.attention import (
     ROLE_GROUND,
+    ROLE_QUERY,
     ROLE_VISUAL,
     DecoderWeights,
     FeatureSequence,
-    QuerySet,
     decoder_stack,
     self_attention,
 )
@@ -56,7 +56,8 @@ from gpk.geometry import (
     plane_to_attitude,
     project_point,
 )
-from gpk.losses import focal_loss, l1_loss, laplace_depth_loss, total_loss
+from gpk.losses import (denorm_l1, focal_loss, l1_loss, laplace_depth_loss,
+                        total_loss)
 from gpk.mapfile import load_denorm_map, load_depth_map, pack_map
 from gpk.maps import (
     DenormMap,
@@ -64,7 +65,6 @@ from gpk.maps import (
     TriangleRegion,
     _rasterize,
     build_global_denorm_map,
-    denorm_l1_loss,
     refine_map,
 )
 
@@ -224,7 +224,7 @@ def test_05_refinement_fixed_point():
     k = CameraIntrinsics(fx=62.5, fy=62.5, cx=29.0, cy=16.0)  # stride 16
     planes, tri_id, _ = refine_map(g, np.array(boxes, BOX3D_DTYPE), k, 32, 58)
     refined = DenormMap(planes[tri_id])
-    loss = denorm_l1_loss(refined, build_global_denorm_map(g, 32, 58))
+    loss = denorm_l1(refined.data, build_global_denorm_map(g, 32, 58).data)
     report(5, "refinement is a fixed point on flat ground", loss < 1e-9,
            f"L1 {loss:.2e}")
 
@@ -301,7 +301,7 @@ def test_08_homography_consistency():
 def test_09_attention_invariants():
     rng = np.random.default_rng(109)
     n, tg, tv, c, h = 10, 16, 24, 32, 4
-    q = QuerySet(rng.standard_normal((n, c)))
+    q = FeatureSequence(rng.standard_normal((n, c)), ROLE_QUERY)
     fg = FeatureSequence(rng.standard_normal((tg, c)), ROLE_GROUND)
     fv = FeatureSequence(rng.standard_normal((tv, c)), ROLE_VISUAL)
     blocks = [DecoderWeights.create(c, h, seed=200 + i) for i in range(3)]
@@ -309,9 +309,10 @@ def test_09_attention_invariants():
     out2, amap2 = decoder_stack(q, fg, fv, blocks)
     row_dev = float(np.max(np.abs(amap1.weights.sum(axis=1) - 1.0)))
     perm = rng.permutation(n)
-    out_p, amap_p = decoder_stack(QuerySet(q.queries[perm]), fg, fv, blocks)
+    out_p, amap_p = decoder_stack(FeatureSequence(q.tokens[perm], ROLE_QUERY),
+                                  fg, fv, blocks)
     query_equiv = max(
-        float(np.max(np.abs(out_p.queries - out1.queries[perm]))),
+        float(np.max(np.abs(out_p.tokens - out1.tokens[perm]))),
         float(np.max(np.abs(amap_p.weights - amap1.weights[perm]))),
     )
     tperm = rng.permutation(tv)
@@ -324,9 +325,9 @@ def test_09_attention_invariants():
         row_dev <= 1e-9
         and query_equiv <= 1e-9
         and token_equiv <= 1e-9
-        and out1.queries.shape == (n, c)
-        and bool(np.all(np.isfinite(out1.queries)))
-        and np.array_equal(out1.queries, out2.queries)
+        and out1.tokens.shape == (n, c)
+        and bool(np.all(np.isfinite(out1.tokens)))
+        and np.array_equal(out1.tokens, out2.tokens)
         and np.array_equal(amap1.weights, amap2.weights)
     )
     report(9, "attention invariant suite", ok,

@@ -8,22 +8,21 @@ import pytest
 
 from gpk.attention import (
     ROLE_GROUND,
+    ROLE_QUERY,
     ROLE_VISUAL,
     AttentionMap,
     BlockWeights,
     DecoderWeights,
     FeatureSequence,
-    QuerySet,
+    cross_attention,
     decoder_block,
     decoder_fixture,
     decoder_stack,
     ffn,
     fnv1a64,
-    ground_cross_attention,
     matrix_digest,
     positional_encoding,
     self_attention,
-    visual_cross_attention,
 )
 from gpk.errors import ShapeMismatch
 
@@ -146,17 +145,19 @@ class TestCrossAttention:
         w = BlockWeights.create(c=4, heads=1, seed=10)
         q = rng.standard_normal((2, 4))
         fg = rng.standard_normal((3, 4))
-        out, amap = ground_cross_attention(
-            QuerySet(q), FeatureSequence(fg, ROLE_GROUND), w
+        out, amap = cross_attention(
+            FeatureSequence(q, ROLE_QUERY), FeatureSequence(fg, ROLE_GROUND), w
         )
         want_out, want_map = naive_attention(q, fg, w)
-        assert np.allclose(out.queries, want_out, atol=1e-9)
+        assert out.role == ROLE_QUERY
+        assert np.allclose(out.tokens, want_out, atol=1e-9)
         assert np.allclose(amap.weights, want_map, atol=1e-9)
 
     def test_single_ground_token_all_ones(self):
         w = BlockWeights.create(c=4, heads=2, seed=11)
-        _, amap = ground_cross_attention(
-            QuerySet(np.random.default_rng(0).standard_normal((5, 4))),
+        _, amap = cross_attention(
+            FeatureSequence(np.random.default_rng(0).standard_normal((5, 4)),
+                            ROLE_QUERY),
             FeatureSequence(np.array([[1.0, 2.0, 3.0, 4.0]]), ROLE_GROUND),
             w,
         )
@@ -166,33 +167,19 @@ class TestCrossAttention:
         w = BlockWeights.create(c=4, heads=1, seed=12)
         token = np.array([0.4, -0.2, 1.0, 0.3])
         fg = np.stack([token, token, token])
-        _, amap = ground_cross_attention(
-            QuerySet(np.random.default_rng(1).standard_normal((2, 4))),
+        _, amap = cross_attention(
+            FeatureSequence(np.random.default_rng(1).standard_normal((2, 4)),
+                            ROLE_QUERY),
             FeatureSequence(fg, ROLE_GROUND),
             w,
         )
         assert np.allclose(amap.weights, 1.0 / 3.0, atol=1e-12)
 
-    def test_role_enforced(self):
-        w = BlockWeights.create(c=4, heads=1)
-        with pytest.raises(ShapeMismatch):
-            ground_cross_attention(
-                QuerySet(np.zeros((2, 4))),
-                FeatureSequence(np.zeros((3, 4)), ROLE_VISUAL),
-                w,
-            )
-        with pytest.raises(ShapeMismatch):
-            visual_cross_attention(
-                QuerySet(np.zeros((2, 4))),
-                FeatureSequence(np.zeros((3, 4)), ROLE_GROUND),
-                w,
-            )
-
 
 class TestDecoder:
     def setup_method(self):
         rng = np.random.default_rng(13)
-        self.q = QuerySet(rng.standard_normal((6, 8)))
+        self.q = FeatureSequence(rng.standard_normal((6, 8)), ROLE_QUERY)
         self.fg = FeatureSequence(rng.standard_normal((10, 8)), ROLE_GROUND)
         self.fv = FeatureSequence(rng.standard_normal((14, 8)), ROLE_VISUAL)
         self.blocks = [DecoderWeights.create(8, 2, seed=20 + i)
@@ -200,27 +187,38 @@ class TestDecoder:
 
     def test_output_shape_and_finiteness(self):
         out, amap = decoder_stack(self.q, self.fg, self.fv, self.blocks)
-        assert out.queries.shape == (6, 8)
-        assert np.all(np.isfinite(out.queries))
+        assert out.role == ROLE_QUERY
+        assert out.tokens.shape == (6, 8)
+        assert np.all(np.isfinite(out.tokens))
         assert amap.weights.shape == (6, 10)
 
     def test_single_block_map_rows_sum_to_one(self):
         _, amap = decoder_block(self.q, self.fg, self.fv, self.blocks[0])
         assert np.max(np.abs(amap.weights.sum(axis=1) - 1.0)) <= 1e-9
 
+    @pytest.mark.parametrize("slot, wrong", [
+        ("q", ROLE_VISUAL), ("fg", ROLE_VISUAL), ("fv", ROLE_GROUND),
+    ], ids=["query", "ground", "visual"])
+    def test_role_enforced(self, slot, wrong):
+        seqs = {"q": self.q, "fg": self.fg, "fv": self.fv}
+        seqs[slot] = FeatureSequence(seqs[slot].tokens, wrong)
+        with pytest.raises(ShapeMismatch, match=f"got role {wrong!r}"):
+            decoder_block(**seqs, w=self.blocks[0])
+
     def test_query_permutation_equivariance(self):
         perm = np.random.default_rng(14).permutation(6)
         out, amap = decoder_stack(self.q, self.fg, self.fv, self.blocks)
         out_p, amap_p = decoder_stack(
-            QuerySet(self.q.queries[perm]), self.fg, self.fv, self.blocks
+            FeatureSequence(self.q.tokens[perm], ROLE_QUERY),
+            self.fg, self.fv, self.blocks,
         )
-        assert np.allclose(out_p.queries, out.queries[perm], atol=1e-9)
+        assert np.allclose(out_p.tokens, out.tokens[perm], atol=1e-9)
         assert np.allclose(amap_p.weights, amap.weights[perm], atol=1e-9)
 
     def test_deterministic_bit_identical(self):
         a, amap_a = decoder_stack(self.q, self.fg, self.fv, self.blocks)
         b, amap_b = decoder_stack(self.q, self.fg, self.fv, self.blocks)
-        assert np.array_equal(a.queries, b.queries)
+        assert np.array_equal(a.tokens, b.tokens)
         assert np.array_equal(amap_a.weights, amap_b.weights)
 
     def test_empty_stack_rejected(self):
@@ -265,6 +263,16 @@ class TestFixtures:
         a = decoder_fixture(4, 6, 8, 8, 2, seed=99)
         b = decoder_fixture(4, 6, 8, 8, 2, seed=99)
         assert a == b
+
+    @pytest.mark.parametrize("args, queries_out, ground_attention", [
+        ((8, 12, 20, 16, 4, 0), "5aa7334baf365d7e", "c9861c49af1d2737"),
+        ((4, 6, 8, 8, 2, 99), "006a3aa0ffa65a20", "029a8cf51d2c6280"),
+    ])
+    def test_fixture_digests_pinned(self, args, queries_out, ground_attention):
+        assert decoder_fixture(*args)["digests"] == {
+            "queries_out": queries_out,
+            "ground_attention": ground_attention,
+        }
 
     def test_fixture_sensitive_to_seed(self):
         a = decoder_fixture(4, 6, 8, 8, 2, seed=99)

@@ -164,6 +164,26 @@ class TestGenMaps:
         assert code == 1
 
 
+@pytest.mark.parametrize("flag", ["labels", "calib", "denorm", "config", "pred"])
+def test_non_utf8_input_exit_1(tmp_path, capsys, flag):
+    synth = tmp_path / "synth"
+    assert run(["synth", "--out", str(synth), "--frames", "1"]) == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\x00")
+    out = ["--out", str(tmp_path / "o")]
+    if flag == "config":
+        argv = ["synth", "--config", str(bad)] + out
+    elif flag == "pred":
+        argv = ["losses", "--pred", str(bad),
+                "--labels", str(synth / "label_000000.txt")]
+    else:
+        argv = ["gen-maps", "--stride", "16"] + out + real_inputs(synth)
+        argv[argv.index(f"--{flag}") + 1] = str(bad)
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert f"error: {flag} file is not UTF-8 text: {bad}" in capsys.readouterr().err
+
+
 class TestRealFrames:
     @pytest.fixture
     def synth(self, tmp_path):
@@ -304,9 +324,11 @@ class TestPerturb:
         assert "scatter_pitch_perturbed.csv" in names
         assert "scatter_roll.svg" in names
 
-    def test_negative_sigma_exit_1(self, tmp_path):
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    def test_negative_sigma_exit_1(self, tmp_path, capsys, sigma):
         assert run(["perturb", "--out", str(tmp_path / "p"),
-                    "--sigma", "-1"] + SMALL) == 1
+                    "--sigma", sigma] + SMALL) == 1
+        assert "error: --sigma must be " in capsys.readouterr().err
 
     def test_single_quantity(self, tmp_path):
         out = tmp_path / "p"

@@ -12,6 +12,7 @@ from gpk.losses import (
     COMPONENT_NAMES,
     LossWeights,
     angle_loss,
+    denorm_l1,
     focal_loss,
     frame_loss_components,
     giou_loss_2d,
@@ -45,6 +46,12 @@ def grid_area_oracle(boxes, lo=-20, hi=20):
     hull_b = max(boxes[0][3], boxes[1][3])
     hull = (hull_r - hull_l) * (hull_b - hull_t)
     return inter, union, hull
+
+
+class TestDenormL1:
+    def test_mean_over_plane_params(self):
+        got = denorm_l1([0.0, -1.0, 0.0, 6.0], [0.0, -0.6, 0.8, 5.0])
+        assert got == pytest.approx((0.4 + 0.8 + 1.0) / 4)
 
 
 class TestFocal:

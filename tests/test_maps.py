@@ -24,6 +24,7 @@ from gpk.geometry import (
     plane_from_three_points,
     project_point,
 )
+from gpk.losses import denorm_l1
 from gpk.mapfile import (
     load_denorm_map,
     load_depth_map,
@@ -38,7 +39,6 @@ from gpk.maps import (
     _rasterize,
     build_global_denorm_map,
     build_ground_depth_map,
-    denorm_l1_loss,
     refine_map,
     triangulate_ground_points,
 )
@@ -196,7 +196,8 @@ class TestRefinement:
         boxes = self.boxes_on(g)
         planes, tri_id, _ = refine_map(g, boxes, self.K8, 64, 116)
         refined = DenormMap(planes[tri_id])
-        assert denorm_l1_loss(refined, build_global_denorm_map(g, 64, 116)) < 1e-9
+        global_map = build_global_denorm_map(g, 64, 116)
+        assert denorm_l1(refined.data, global_map.data) < 1e-9
 
     def test_too_few_boxes_returns_global(self):
         planes, tri_id, stats = refine_map(FLAT, self.boxes_on(FLAT, n=2),
@@ -212,7 +213,7 @@ class TestRefinement:
         boxes = self.boxes_on(g2, n=15, seed=3)
         planes, tri_id, stats = refine_map(FLAT, boxes, self.K8, 64, 116)
         m = DenormMap(planes[tri_id])
-        assert denorm_l1_loss(m, build_global_denorm_map(FLAT, 64, 116)) > 0
+        assert denorm_l1(m.data, build_global_denorm_map(FLAT, 64, 116).data) > 0
         assert stats["insufficient_points"] == 0
 
     def test_single_triangle_writes_its_sub_plane(self):
@@ -238,9 +239,9 @@ class TestRefinement:
 
     def test_loss_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            denorm_l1_loss(
-                build_global_denorm_map(FLAT, 4, 4),
-                build_global_denorm_map(FLAT, 4, 5),
+            denorm_l1(
+                build_global_denorm_map(FLAT, 4, 4).data,
+                build_global_denorm_map(FLAT, 4, 5).data,
             )
 
 
