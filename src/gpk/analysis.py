@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, QuantityMismatch
-from .geometry import (_HORIZON_TOL, bottom_centers, perturbation_rotation,
-                       plane_to_attitude, project_points, ray_ground_denominator)
+from .geometry import (bottom_centers, ground_depths, perturbation_rotation,
+                       plane_to_attitude, project_points)
 from .maps import refine_map
 
 QUANTITIES = ("depth", "roll", "pitch")
@@ -109,11 +109,8 @@ def depth_histogram(frames, bins: int) -> Histogram:
     for f in frames:
         k, g = f.rig.intrinsics, f.ground
         p = bottom_centers(f.objects.box3d, g)
-        u, v = project_points(p[p[:, 2] > 0], k).T
-        denom = ray_ground_denominator(u, v, k, g)
-        with np.errstate(all="ignore"):
-            z = -g.d / denom
-        depths.append(z[(np.abs(denom) > _HORIZON_TOL) & (z > 0)])
+        z, valid = ground_depths(*project_points(p[p[:, 2] > 0], k).T, k, g)
+        depths.append(z[valid])
     depths = np.concatenate(depths) if depths else np.empty(0)
     if not depths.size:
         raise EmptyInput("no annotated boxes")

@@ -248,8 +248,12 @@ def _map_blobs(frame: FrameRecord, stride: int):
     # Refine first, so the rasterizer's temporaries are gone before any
     # full-size map exists; each dense map lives only while it is packed.
     planes, tri_id, stats = refine_map(frame.ground, frame.objects.box3d, k, h, w)
-    residual = float(np.mean(np.abs(np.take(planes - planes[-1], tri_id, axis=0))))
+    # mean |refined - global|, each used plane weighted by its pixel count
+    ids, n = np.unique(tri_id, return_counts=True)
+    dev = np.abs(planes[ids] - planes[-1]) * n[:, None]
+    residual = float(dev.sum()) / (4 * tri_id.size)
     depth = build_ground_depth_map(k, frame.ground, h, w)
+    planes = planes.astype("<f4")  # the file type: casting commutes with take
     blobs = (
         ("depth", pack_map(depth.depth, depth.valid)),
         ("global", pack_map(np.broadcast_to(planes[-1], (h, w, 4)))),
@@ -290,8 +294,8 @@ def _perturbation_pairs(n: int, sigma: float, seed: int):
 
 def cmd_perturb(args) -> int:
     out = _Output(args)
-    if not (np.isfinite(args.sigma) and args.sigma >= 0):
-        raise ParseError("--sigma must be finite and >= 0")
+    if not 0 <= args.sigma < np.pi / 6:  # 3 sigma stays inside (-pi/2, pi/2)
+        raise ParseError("--sigma must be finite and in [0, pi/6)")
     frames, inputs = _frames_from_args(args)
     pairs = _perturbation_pairs(len(frames), args.sigma, args.seed or 0)
     quantities = ([args.quantity] if args.quantity else list(analysis.QUANTITIES))
@@ -482,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perturb", help="pose-perturbation overlap study")
     _add_common(p)
     p.add_argument("--sigma", type=float, default=0.3,
-                   help="roll/pitch offset std dev (radians)")
+                   help="roll/pitch offset std dev, radians, in [0, pi/6)")
     p.add_argument("--quantity", choices=analysis.QUANTITIES, default=None)
     p.set_defaults(func=cmd_perturb)
 

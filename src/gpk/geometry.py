@@ -174,6 +174,16 @@ def ray_ground_denominator(u, v, k: CameraIntrinsics, g: GroundPlane):
     return g.alpha * (u - k.cx) / k.fx + g.beta * (v - k.cy) / k.fy + g.gamma
 
 
+def ground_depths(u, v, k: CameraIntrinsics, g: GroundPlane):
+    """(depth, valid) at broadcastable pixel coordinates: ground_depth_at_pixel's
+    depth, or 0 and not valid where it raises HorizonRay or BehindCamera."""
+    denom = ray_ground_denominator(u, v, k, g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = -g.d / denom
+    valid = (np.abs(denom) > _HORIZON_TOL) & (z > 0)
+    return np.where(valid, z, 0.0), valid
+
+
 def ground_depth_at_pixel(px: Pixel, k: CameraIntrinsics, g: GroundPlane) -> float:
     """Depth of the ray-ground intersection for one pixel.
 

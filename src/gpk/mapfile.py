@@ -9,6 +9,7 @@ bit-exact.
 from __future__ import annotations
 
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +40,8 @@ def pack_map(data: np.ndarray, mask: np.ndarray | None = None) -> bytes:
 
 
 def unpack_map(blob: bytes):
-    """Inverse of pack_map: returns (data (h, w, c) float32, mask or None)."""
+    """Inverse of pack_map: returns (data, mask or None), where data is the
+    (h, w, c) float32 view of the blob's payload (read-only for bytes)."""
     if len(blob) < _HEADER.size:
         raise ParseError("truncated GPKM header")
     magic, version, h, w, c, has_mask = _HEADER.unpack_from(blob)
@@ -57,29 +59,26 @@ def unpack_map(blob: bytes):
     off += 4 * n
     mask = None
     if has_mask:
-        nbits = h * w
-        nbytes = (nbits + 7) // 8
+        nbytes = (h * w + 7) // 8
         if len(blob) < off + nbytes:
             raise ParseError("truncated GPKM mask")
         bits = np.frombuffer(blob, dtype=np.uint8, count=nbytes, offset=off)
-        mask = np.unpackbits(bits, count=nbits).astype(bool).reshape(h, w)
+        mask = np.unpackbits(bits, count=h * w).view(bool).reshape(h, w)
         off += nbytes
     if len(blob) != off:
         raise ParseError("trailing bytes after GPKM payload")
-    return data.copy(), mask
+    return data, mask
 
 
 def load_depth_map(path) -> GroundDepthMap:
-    with open(path, "rb") as f:
-        data, mask = unpack_map(f.read())
+    data, mask = unpack_map(Path(path).read_bytes())
     if data.shape[2] != 1 or mask is None:
         raise ParseError("not a depth map (expect 1 channel with mask)")
     return GroundDepthMap(depth=data[:, :, 0].astype(float), valid=mask)
 
 
 def load_denorm_map(path) -> DenormMap:
-    with open(path, "rb") as f:
-        data, _ = unpack_map(f.read())
+    data, _ = unpack_map(Path(path).read_bytes())
     if data.shape[2] != 4:
         raise ParseError("not a denorm map (expect 4 channels)")
     return DenormMap(data=data.astype(float))

@@ -23,15 +23,15 @@ from .errors import (
     DimensionMismatch,
     InsufficientPoints,
 )
-from .geometry import (_HORIZON_TOL, CameraIntrinsics, GroundPlane,
-                       bottom_centers, project_points, unit_planes)
+from .geometry import (CameraIntrinsics, GroundPlane, bottom_centers,
+                       ground_depths, project_points, unit_planes)
 
 
 @dataclass
 class GroundDepthMap:
     """Per-pixel ray-ground depth with a validity mask."""
 
-    depth: np.ndarray  # (h, w) float64, meters; undefined where invalid
+    depth: np.ndarray  # (h, w) float64, meters; 0 where invalid
     valid: np.ndarray  # (h, w) bool
 
 
@@ -70,22 +70,12 @@ def _signed_area2(px: np.ndarray):
 def build_ground_depth_map(
     k: CameraIntrinsics, g: GroundPlane, h: int, w: int
 ) -> GroundDepthMap:
-    """Evaluate the ray-plane depth at every pixel center (u+0.5, v+0.5).
-
-    Horizon and behind-camera pixels become mask entries instead of errors.
-    The denominator is geometry.ray_ground_denominator in separable form,
-    alpha * ((u - cx) / fx): that rounding is what GPKM depth files hold.
-    """
+    """geometry.ground_depths at every pixel center (col + 0.5, row + 0.5):
+    horizon and behind-camera pixels become mask entries, not errors."""
     if h <= 0 or w <= 0:
         raise DimensionMismatch("map dimensions must be positive")
-    u = (np.arange(w) + 0.5 - k.cx) / k.fx
-    v = (np.arange(h) + 0.5 - k.cy) / k.fy
-    denom = g.alpha * u[None, :] + g.beta * v[:, None] + g.gamma
-    with np.errstate(divide="ignore", invalid="ignore"):
-        depth = -g.d / denom
-    valid = (np.abs(denom) > _HORIZON_TOL) & (depth > 0)
-    depth = np.where(valid, depth, 0.0)
-    return GroundDepthMap(depth=depth, valid=valid)
+    return GroundDepthMap(*ground_depths(np.arange(w) + 0.5,
+                                         (np.arange(h) + 0.5)[:, None], k, g))
 
 
 def build_global_denorm_map(g_initial: GroundPlane, h: int, w: int) -> DenormMap:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, file outputs, manifests, and
 byte-reproducibility across seeds and job counts."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,7 +16,9 @@ from gpk.cli import _load_real_frame, _perturbation_pairs, build_parser, main
 from gpk.dataio import (
     CameraRig,
     SceneConfig,
+    parse_labels,
     serialize_calibration,
+    serialize_labels,
     synthesize_scene,
 )
 from gpk.geometry import CameraIntrinsics
@@ -232,6 +235,30 @@ class TestRealFrames:
             assert ((tmp_path / "new" / name).read_bytes()
                     == (tmp_path / "old" / name).read_bytes()), tag
 
+    def test_residual_matches_dense_reference(self, tmp_path):
+        # Labels moved off the plane give a residual well above rounding;
+        # the report's reduction over the plane table equals the dense mean.
+        cfg = tmp_path / "dense.cfg"
+        cfg.write_text("objects_per_frame = 400\n")
+        synth = tmp_path / "synth"
+        assert run(["synth", "--out", str(synth), "--seed", "4", "--frames", "1",
+                    "--config", str(cfg)]) == 0
+        labels = synth / "label_000000.txt"
+        objects = parse_labels(labels.read_text())
+        objects.box3d.y += np.random.default_rng(4).normal(0.0, 0.3, len(objects))
+        labels.write_text(serialize_labels(objects))
+        out = tmp_path / "maps"
+        args = ["--stride", "16"] + real_inputs(synth)
+        assert run(["gen-maps", "--out", str(out)] + args) == 0
+        row = (out / "report.csv").read_text().split("\n")[1]
+        frame = _load_real_frame(build_parser().parse_args(
+            ["gen-maps", "--out", str(out)] + args))
+        planes, tri_id, _ = refine_map(frame.ground, frame.objects.box3d,
+                                       *frame.map_grid(16))
+        want = np.mean(np.abs(planes[tri_id] - planes[-1]))
+        assert want > 0.01
+        assert float(row.split(",")[1]) == pytest.approx(want, rel=1e-12)
+
     def test_image_size_is_resolution_else_twice_principal_point(
             self, tmp_path, synth):
         calib = synth / "calib_000000.txt"
@@ -324,11 +351,13 @@ class TestPerturb:
         assert "scatter_pitch_perturbed.csv" in names
         assert "scatter_roll.svg" in names
 
-    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
-    def test_negative_sigma_exit_1(self, tmp_path, capsys, sigma):
+    # Past pi/6 the 3-sigma clip would let an offset reach pi/2.
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "1", "0.53"])
+    def test_sigma_out_of_range_exit_1(self, tmp_path, capsys, sigma):
         assert run(["perturb", "--out", str(tmp_path / "p"),
                     "--sigma", sigma] + SMALL) == 1
-        assert "error: --sigma must be " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: --sigma must be finite and in [0, pi/6)" in err
 
     def test_single_quantity(self, tmp_path):
         out = tmp_path / "p"
@@ -435,6 +464,34 @@ class TestCsvNumbers:
 def test_jobs_only_where_a_pool_runs(tmp_path, capsys, command):
     assert usage_exit_code([command, "--out", str(tmp_path / "o"),
                             "--jobs", "2"] + SMALL, capsys) == 1
+
+
+# SHA-256 over the data files' names and SHA-256s, manifest.json excluded
+# (it records wall time). A refactor that keeps the outputs must keep these.
+PINNED_OUTPUTS = {
+    "gen-maps-s1": (
+        "gen-maps --seed 5 --frames 2 --resolution 64x116 --stride 1",
+        "550bdae0f76ddc5ea7811e335b5ab8d5c6b44eecfc3955ab903bc66a41528815"),
+    "gen-maps-s16": (
+        "gen-maps --seed 5 --frames 2 --resolution 64x116 --stride 16",
+        "7036bbef555226a3358ab4c9b2fa32823f50acaae18dfc90fbd12c5afd8ff8d3"),
+    "stats": (
+        "stats --seed 0 --frames 4",
+        "b0606778c1000655ce8b8502f317bdd787e472d604e9f53dae78349fe9a59c40"),
+    "perturb": (
+        "perturb --seed 0 --frames 4",
+        "102ce604c609d56bc955445ad10bd0921c00f335a42d79a1018d3879d7f4167c"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_OUTPUTS)
+def test_pinned_output_digests(tmp_path, name):
+    command, want = PINNED_OUTPUTS[name]
+    assert run(command.split() + ["--out", str(tmp_path / name)]) == 0
+    digest = hashlib.sha256()
+    for file, blob in dir_bytes(tmp_path / name).items():
+        digest.update(f"{file} {hashlib.sha256(blob).hexdigest()}\n".encode())
+    assert digest.hexdigest() == want
 
 
 class TestSynth:

@@ -35,6 +35,7 @@ from gpk.geometry import (
     bottom_center,
     bottom_centers,
     ground_depth_at_pixel,
+    ground_depths,
     ground_homography,
     perturbation_rotation,
     plane_from_three_points,
@@ -303,6 +304,29 @@ class TestArrayForms:
             else:
                 with pytest.raises(ValueError):
                     project_point(p, k)
+
+    @given(intrinsics, planes, st.data())
+    def test_ground_depths_elements(self, k, g, data):
+        # Rows anywhere, and rows at, just off and above the horizon row
+        # v_h of each column, where the denominator is (nearly) zero.
+        us = data.draw(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=8))
+        vs = []
+        for u in us:
+            v_h = k.cy - k.fy * (g.alpha * (u - k.cx) / k.fx + g.gamma) / g.beta
+            vs.append(data.draw(st.one_of(
+                st.floats(-1e4, 1e4),
+                st.sampled_from([0.0, 1e-9, -1e-9, 1e-6, -1e-6, -1.0, -1e3])
+                .map(lambda dv, v_h=v_h: v_h + dv))))
+        assume(all(math.isfinite(v) for v in vs))
+        depth, valid = ground_depths(np.array(us), np.array(vs), k, g)
+        assert depth.shape == valid.shape == (len(us),)
+        for z, ok, u, v in zip(depth.tolist(), valid.tolist(), us, vs):
+            try:
+                want = ground_depth_at_pixel(Pixel(u, v), k, g)
+            except (HorizonRay, BehindCamera):
+                assert (ok, z) == (False, 0.0)
+            else:
+                assert ok and z == want
 
 
 def reference_from_raw(alpha, beta, gamma, d) -> GroundPlane:

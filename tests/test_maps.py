@@ -89,14 +89,17 @@ def make_region(pixels) -> TriangleRegion:
 
 class TestDepthMap:
     def test_matches_per_pixel_closed_form(self):
+        # The map is geometry.ground_depths at pixel centres: bit-equal to
+        # the per-pixel call where it returns a depth, and 0 where it raises.
         g = attitude_to_plane(CameraAttitude(roll=0.02, pitch=0.2, height=5.0))
         m = build_ground_depth_map(K, g, 64, 96)
         for row in (0, 13, 40, 63):
             for col in (0, 17, 60, 95):
                 px = Pixel(col + 0.5, row + 0.5)
                 if m.valid[row, col]:
-                    z = ground_depth_at_pixel(px, K, g)
-                    assert m.depth[row, col] == pytest.approx(z, rel=1e-12)
+                    assert m.depth[row, col] == ground_depth_at_pixel(px, K, g)
+                else:
+                    assert m.depth[row, col] == 0.0
 
     def test_sky_rows_masked(self):
         m = build_ground_depth_map(K, FLAT, 512, 928)
@@ -286,6 +289,20 @@ class TestGpkmFormat:
         blob = pack_map(np.zeros((3, 3), dtype=np.float32), mask)
         _, back = unpack_map(blob)
         assert np.array_equal(back, mask)
+
+    def test_decode_copies_once(self, tmp_path):
+        # unpack_map views the blob; the loaders make the one float64 copy.
+        m = build_ground_depth_map(K, FLAT, 8, 12)
+        blob = pack_map(m.depth, m.valid)
+        data, _ = unpack_map(blob)
+        assert not data.flags.writeable
+        assert np.shares_memory(data, np.frombuffer(blob, np.uint8))
+        (tmp_path / "depth.gpkm").write_bytes(blob)
+        (tmp_path / "denorm.gpkm").write_bytes(pack_map(np.ones((8, 12, 4))))
+        for array in (load_depth_map(tmp_path / "depth.gpkm").depth,
+                      load_denorm_map(tmp_path / "denorm.gpkm").data):
+            assert array.dtype == np.float64 and array.flags.writeable
+            assert array.flags.owndata
 
 
 VALID_BLOBS = [
