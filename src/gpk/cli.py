@@ -17,6 +17,7 @@ the earlier frames' files but no manifest.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -245,19 +246,18 @@ def _per_frame(frames, jobs: int, work):
 def _map_blobs(frame: FrameRecord, stride: int):
     """Serialized (tag, map) pairs plus refinement counters and residual."""
     k, h, w = frame.map_grid(stride)
-    # Refine first, so the rasterizer's temporaries are gone before any
-    # full-size map exists; each dense map lives only while it is packed.
+    # Refine first, so the rasterizer's temporaries are gone before the
+    # depth map exists. The plane maps are written as their plane tables.
     planes, tri_id, stats = refine_map(frame.ground, frame.objects.box3d, k, h, w)
     # mean |refined - global|, each used plane weighted by its pixel count
     ids, n = np.unique(tri_id, return_counts=True)
     dev = np.abs(planes[ids] - planes[-1]) * n[:, None]
     residual = float(dev.sum()) / (4 * tri_id.size)
     depth = build_ground_depth_map(k, frame.ground, h, w)
-    planes = planes.astype("<f4")  # the file type: casting commutes with take
     blobs = (
         ("depth", pack_map(depth.depth, depth.valid)),
-        ("global", pack_map(np.broadcast_to(planes[-1], (h, w, 4)))),
-        ("refined", pack_map(np.take(planes, tri_id, axis=0))),
+        ("global", pack_map(planes[-1:], tri_id=np.zeros((h, w), np.int8))),
+        ("refined", pack_map(planes, tri_id=tri_id)),
     )
     return blobs, stats, residual
 
@@ -469,6 +469,7 @@ def _add_common(p, with_inputs=True):
         p.add_argument("--denorm", default=None, help="ground-plane file")
 
 
+@functools.cache  # built once per process; parse_args returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gpk",

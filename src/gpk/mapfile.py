@@ -1,9 +1,20 @@
 """GPKM binary map files.
 
-Layout: magic "GPKM", u32 version=1, u32 height, u32 width, u32 channels
-(all positive), u8 mask-present flag, row-major little-endian float32
-payload, then (if flagged) row-major packed validity bits. Round-trips are
-bit-exact.
+Every file starts with the same 21-byte header: magic "GPKM", u32 version,
+u32 height, u32 width, u32 channels (all positive), u8 mask-present flag,
+all little-endian. The version names the layout of what follows:
+
+- 1, dense: the row-major float32 payload, then (if flagged) row-major
+  packed validity bits. `gen-maps` writes depth maps this way.
+- 2, piecewise (mask flag 0): `<II` plane count n and run count r, the
+  (n, c) float32 plane table, then r u32 run lengths and r u32 plane
+  indices, the runs covering the row-major raster. `gen-maps` writes
+  global maps (one plane, one run) and refined maps this way.
+
+Both layouts decode to the same dense (h, w, c) float32 array, and
+round-trips are bit-exact. A piecewise header asking for more than
+MAX_PIECEWISE_VALUES floats is refused, since its size is not bounded by
+the file's.
 """
 
 from __future__ import annotations
@@ -18,16 +29,31 @@ from .maps import DenormMap, GroundDepthMap
 
 MAGIC = b"GPKM"
 VERSION = 1
+PIECEWISE = 2
+MAX_PIECEWISE_VALUES = 2**28  # h * w * c of one decoded piecewise map
 _HEADER = struct.Struct("<4sIIIIB")
+_COUNTS = struct.Struct("<II")
 
 
-def pack_map(data: np.ndarray, mask: np.ndarray | None = None) -> bytes:
-    """Serialize an (h, w) or (h, w, c) array, optionally with a bool mask."""
+def pack_map(data: np.ndarray, mask: np.ndarray | None = None,
+             tri_id: np.ndarray | None = None) -> bytes:
+    """Serialize an (h, w) or (h, w, c) array, optionally with a bool mask.
+
+    With `tri_id`, `data` is an (n, c) plane table and `tri_id` the (h, w)
+    integer raster indexing it as numpy does (-1 is the last row), so the
+    map is `data[tri_id]`; it is written in the piecewise layout.
+    """
     data = np.asarray(data, dtype="<f4")
+    if tri_id is not None:
+        if mask is not None:
+            raise ValueError("a piecewise map has no mask")
+        return _pack_piecewise(data, np.asarray(tri_id))
     if data.ndim == 2:
         data = data[:, :, None]
     if data.ndim != 3:
         raise ValueError("map data must be (h, w) or (h, w, c)")
+    if 0 in data.shape:
+        raise ValueError(f"empty map {data.shape}")
     h, w, c = data.shape
     parts = [_HEADER.pack(MAGIC, VERSION, h, w, c, 1 if mask is not None else 0)]
     parts.append(data.tobytes(order="C"))
@@ -39,19 +65,47 @@ def pack_map(data: np.ndarray, mask: np.ndarray | None = None) -> bytes:
     return b"".join(parts)
 
 
+def _pack_piecewise(planes: np.ndarray, tri_id: np.ndarray) -> bytes:
+    if planes.ndim != 2 or 0 in planes.shape:
+        raise ValueError(f"plane table must be a non-empty (n, c), not {planes.shape}")
+    if tri_id.ndim != 2 or 0 in tri_id.shape or tri_id.dtype.kind not in "iu":
+        raise ValueError("tri_id must be a non-empty (h, w) integer raster")
+    (n, c), (h, w) = planes.shape, tri_id.shape
+    if h * w * c > MAX_PIECEWISE_VALUES:
+        raise ValueError(f"piecewise map {h}x{w}x{c} exceeds {MAX_PIECEWISE_VALUES} values")
+    flat = tri_id.reshape(-1)
+    starts = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    ids = flat[np.concatenate(([0], starts))].astype(np.int64)
+    if ids.min() < -n or ids.max() >= n:
+        raise ValueError(f"tri_id outside the {n}-plane table")
+    lengths = np.diff(starts, prepend=0, append=flat.size)
+    return b"".join((_HEADER.pack(MAGIC, PIECEWISE, h, w, c, 0),
+                     _COUNTS.pack(n, len(ids)), planes.tobytes(),
+                     lengths.astype("<u4").tobytes(), (ids % n).astype("<u4").tobytes()))
+
+
 def unpack_map(blob: bytes):
     """Inverse of pack_map: returns (data, mask or None), where data is the
-    (h, w, c) float32 view of the blob's payload (read-only for bytes)."""
+    dense (h, w, c) float32 map. For a dense file it is a view of the blob's
+    payload (read-only for bytes); a piecewise file decodes to a fresh
+    array and has no mask."""
+    return _unpack(blob, np.float32)
+
+
+def _unpack(blob: bytes, dtype):
+    """unpack_map, with a piecewise map expanded straight to `dtype`."""
     if len(blob) < _HEADER.size:
         raise ParseError("truncated GPKM header")
     magic, version, h, w, c, has_mask = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise ParseError(f"bad magic {magic!r}")
-    if version != VERSION:
+    if version not in (VERSION, PIECEWISE):
         raise ParseError(f"unsupported version {version}")
     if 0 in (h, w, c):  # numpy cannot shape an empty array of huge extents
         raise ParseError(f"empty GPKM map {h}x{w}x{c}")
     off = _HEADER.size
+    if version == PIECEWISE:
+        return _unpack_piecewise(blob, h, w, c, has_mask, dtype), None
     n = h * w * c
     if len(blob) < off + 4 * n:
         raise ParseError("truncated GPKM payload")
@@ -70,6 +124,33 @@ def unpack_map(blob: bytes):
     return data, mask
 
 
+def _unpack_piecewise(blob, h, w, c, has_mask, dtype):
+    if has_mask:
+        raise ParseError("piecewise GPKM map with a mask")
+    if h * w * c > MAX_PIECEWISE_VALUES:
+        raise ParseError(f"piecewise GPKM map {h}x{w}x{c} exceeds "
+                         f"{MAX_PIECEWISE_VALUES} values")
+    off = _HEADER.size + _COUNTS.size
+    if len(blob) < off:
+        raise ParseError("truncated GPKM plane and run counts")
+    n, r = _COUNTS.unpack_from(blob, _HEADER.size)
+    if n == 0:
+        raise ParseError("empty GPKM plane table")
+    size = off + 4 * (n * c + 2 * r)
+    if len(blob) != size:
+        raise ParseError("truncated GPKM plane or run table" if len(blob) < size
+                         else "trailing bytes after GPKM runs")
+    planes = np.frombuffer(blob, dtype="<f4", count=n * c, offset=off).reshape(n, c)
+    lengths = np.frombuffer(blob, dtype="<u4", count=r, offset=off + 4 * n * c)
+    ids = np.frombuffer(blob, dtype="<u4", count=r, offset=off + 4 * (n * c + r))
+    if int(lengths.sum(dtype=np.uint64)) != h * w:
+        raise ParseError(f"GPKM runs do not cover the {h}x{w} map")
+    if ids.max() >= n:  # r >= 1 here, since the runs cover h * w > 0 pixels
+        raise ParseError(f"GPKM run names a plane beyond the {n}-plane table")
+    # Repeat whole rows of the plane table: far cheaper than planes[tri_id].
+    return np.repeat(planes.astype(dtype)[ids], lengths, axis=0).reshape(h, w, c)
+
+
 def load_depth_map(path) -> GroundDepthMap:
     data, mask = unpack_map(Path(path).read_bytes())
     if data.shape[2] != 1 or mask is None:
@@ -78,7 +159,7 @@ def load_depth_map(path) -> GroundDepthMap:
 
 
 def load_denorm_map(path) -> DenormMap:
-    data, _ = unpack_map(Path(path).read_bytes())
+    data, _ = _unpack(Path(path).read_bytes(), np.float64)
     if data.shape[2] != 4:
         raise ParseError("not a denorm map (expect 4 channels)")
-    return DenormMap(data=data.astype(float))
+    return DenormMap(data=data.astype(float, copy=False))

@@ -12,7 +12,8 @@ import pytest
 
 import gpk
 from gpk import analysis
-from gpk.cli import _load_real_frame, _perturbation_pairs, build_parser, main
+from gpk.cli import (_frames_from_args, _load_real_frame, _perturbation_pairs,
+                     build_parser, main)
 from gpk.dataio import (
     CameraRig,
     SceneConfig,
@@ -22,7 +23,7 @@ from gpk.dataio import (
     synthesize_scene,
 )
 from gpk.geometry import CameraIntrinsics
-from gpk.mapfile import load_denorm_map
+from gpk.mapfile import load_denorm_map, unpack_map
 from gpk.maps import refine_map
 
 SMALL = ["--frames", "3", "--resolution", "64x116"]
@@ -466,32 +467,98 @@ def test_jobs_only_where_a_pool_runs(tmp_path, capsys, command):
                             "--jobs", "2"] + SMALL, capsys) == 1
 
 
-# SHA-256 over the data files' names and SHA-256s, manifest.json excluded
-# (it records wall time). A refactor that keeps the outputs must keep these.
+# SHA-256 over the names and SHA-256s of the data files whose names start
+# with one of the prefixes (manifest.json is excluded: it records wall time).
+# A refactor that keeps the outputs must keep these. The gen-maps depth maps
+# and report.csv keep the digests of the dense-only GPKM writer; the global
+# and refined maps are pinned in the piecewise layout.
+GEN_MAPS = "gen-maps --seed 5 --frames 2 --resolution 64x116 --stride "
+DEPTH_AND_REPORT, PLANE_MAPS, ALL = ("depth_", "report.csv"), ("global_", "refined_"), ("",)
 PINNED_OUTPUTS = {
     "gen-maps-s1": (
-        "gen-maps --seed 5 --frames 2 --resolution 64x116 --stride 1",
-        "550bdae0f76ddc5ea7811e335b5ab8d5c6b44eecfc3955ab903bc66a41528815"),
+        GEN_MAPS + "1", DEPTH_AND_REPORT,
+        "5fe3fa34b7c4cc7f372920c2943f364bb0d686b559a5aa4ee1a2a1d3b9f98c7f"),
+    "gen-maps-s1-planes": (
+        GEN_MAPS + "1", PLANE_MAPS,
+        "c68d12cd713756e9425321d4703006567d2bdb4c46501b93f18f2e0e058352de"),
     "gen-maps-s16": (
-        "gen-maps --seed 5 --frames 2 --resolution 64x116 --stride 16",
-        "7036bbef555226a3358ab4c9b2fa32823f50acaae18dfc90fbd12c5afd8ff8d3"),
+        GEN_MAPS + "16", DEPTH_AND_REPORT,
+        "8e4208062f6ffee6fbaa24fcf03e8faa321e49bdd05db37872956644cb49eddd"),
+    "gen-maps-s16-planes": (
+        GEN_MAPS + "16", PLANE_MAPS,
+        "28ca5a5591fbc8517c53bad06911b4926f586519f734db68aa15ac17abeb3a7d"),
     "stats": (
-        "stats --seed 0 --frames 4",
+        "stats --seed 0 --frames 4", ALL,
         "b0606778c1000655ce8b8502f317bdd787e472d604e9f53dae78349fe9a59c40"),
     "perturb": (
-        "perturb --seed 0 --frames 4",
+        "perturb --seed 0 --frames 4", ALL,
         "102ce604c609d56bc955445ad10bd0921c00f335a42d79a1018d3879d7f4167c"),
 }
 
 
 @pytest.mark.parametrize("name", PINNED_OUTPUTS)
 def test_pinned_output_digests(tmp_path, name):
-    command, want = PINNED_OUTPUTS[name]
+    command, prefixes, want = PINNED_OUTPUTS[name]
     assert run(command.split() + ["--out", str(tmp_path / name)]) == 0
     digest = hashlib.sha256()
     for file, blob in dir_bytes(tmp_path / name).items():
-        digest.update(f"{file} {hashlib.sha256(blob).hexdigest()}\n".encode())
+        if file.startswith(prefixes):
+            digest.update(f"{file} {hashlib.sha256(blob).hexdigest()}\n".encode())
     assert digest.hexdigest() == want
+
+
+class TestPlaneMapFiles:
+    """gen-maps writes global and refined maps as refine_map's plane table:
+    every file decodes to `planes.astype('<f4')[tri_id]` bit for bit."""
+
+    @staticmethod
+    def gen_maps_frames(argv):
+        assert run(argv) == 0
+        frames, _ = _frames_from_args(build_parser().parse_args(argv))
+        return frames
+
+    @staticmethod
+    def assert_files_hold_plane_table(out, frame, stride):
+        planes, tri_id, _ = refine_map(frame.ground, frame.objects.box3d,
+                                       *frame.map_grid(stride))
+        table = planes.astype("<f4")
+        fid = frame.frame_id
+        assert (out / f"global_{fid}.gpkm").stat().st_size <= 64
+        for tag, want in (("global", table[np.full_like(tri_id, -1)]),
+                          ("refined", table[tri_id])):
+            path = out / f"{tag}_{fid}.gpkm"
+            data, mask = unpack_map(path.read_bytes())
+            assert mask is None and data.dtype == np.float32, tag
+            assert np.array_equal(data.view(np.uint32), want.view(np.uint32)), tag
+            loaded = load_denorm_map(path).data
+            assert np.array_equal(loaded.view(np.uint64),
+                                  want.astype(np.float64).view(np.uint64)), tag
+        return tri_id
+
+    @pytest.mark.parametrize("stride", ["1", "16"])
+    def test_synthetic_fleet(self, tmp_path, stride):
+        out = tmp_path / "maps"
+        argv = ["gen-maps", "--out", str(out), "--stride", stride,
+                "--seed", "5", "--frames", "2", "--resolution", "64x116"]
+        for frame in self.gen_maps_frames(argv):
+            self.assert_files_hold_plane_table(out, frame, int(stride))
+
+    def test_labels_off_the_plane(self, tmp_path):
+        # 400 boxes moved off the frame's plane: many sub-planes, many runs.
+        cfg = tmp_path / "dense.cfg"
+        cfg.write_text("objects_per_frame = 400\n")
+        synth = tmp_path / "synth"
+        assert run(["synth", "--out", str(synth), "--seed", "6", "--frames", "1",
+                    "--config", str(cfg)]) == 0
+        labels = synth / "label_000000.txt"
+        objects = parse_labels(labels.read_text())
+        objects.box3d.y += np.random.default_rng(6).normal(0.0, 0.3, len(objects))
+        labels.write_text(serialize_labels(objects))
+        out = tmp_path / "maps"
+        (frame,) = self.gen_maps_frames(["gen-maps", "--out", str(out)]
+                                        + real_inputs(synth))
+        tri_id = self.assert_files_hold_plane_table(out, frame, 1)
+        assert tri_id.max() > 10 and np.count_nonzero(tri_id >= 0) > tri_id.size // 4
 
 
 class TestSynth:

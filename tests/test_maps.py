@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gpk.dataio import BOX3D_DTYPE
 from gpk.errors import (
@@ -26,9 +27,11 @@ from gpk.geometry import (
 )
 from gpk.losses import denorm_l1
 from gpk.mapfile import (
+    PIECEWISE,
+    _COUNTS,
+    _HEADER,
     load_denorm_map,
     load_depth_map,
-    _HEADER,
     pack_map,
     unpack_map,
 )
@@ -283,6 +286,17 @@ class TestGpkmFormat:
         with pytest.raises(ParseError):
             unpack_map(blob + b"\x00")
 
+    @pytest.mark.parametrize("shape", [(0, 3, 4), (3, 0), (2, 3, 0)])
+    def test_pack_refuses_empty_map(self, shape):
+        # unpack_map refuses every zero extent, so pack_map must not write one.
+        with pytest.raises(ValueError):
+            pack_map(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0)])
+    def test_pack_refuses_empty_plane_table(self, shape):
+        with pytest.raises(ValueError):
+            pack_map(np.zeros(shape), tri_id=np.zeros((2, 3), np.int32))
+
     def test_mask_bits_packed(self):
         mask = np.zeros((3, 3), dtype=bool)
         mask[1, 1] = True
@@ -305,9 +319,117 @@ class TestGpkmFormat:
             assert array.flags.owndata
 
 
+def piecewise_blob(h, w, planes, lengths, ids, n=None, c=None, mask=0):
+    """A piecewise GPKM blob assembled field by field, valid or not."""
+    planes = np.asarray(planes, dtype="<f4")
+    n = len(planes) if n is None else n
+    c = planes.shape[1] if c is None else c
+    return (_HEADER.pack(b"GPKM", PIECEWISE, h, w, c, mask)
+            + _COUNTS.pack(n, len(lengths)) + planes.tobytes()
+            + np.asarray(lengths, "<u4").tobytes() + np.asarray(ids, "<u4").tobytes())
+
+
+class TestPiecewiseFormat:
+    PLANES = np.array([[0.0, -1.0, 0.0, 6.0], [0.1, -0.9, 0.0, 5.0]])
+
+    def test_runs_follow_the_raster(self):
+        tri_id = np.array([[0, 0, -1], [-1, -1, 1]], np.int32)
+        blob = pack_map(self.PLANES, tri_id=tri_id)
+        assert blob == piecewise_blob(2, 3, self.PLANES, [2, 3, 1], [0, 1, 1])
+        data, mask = unpack_map(blob)
+        assert mask is None and data.flags.writeable
+        assert np.array_equal(data, self.PLANES.astype("<f4")[tri_id])
+
+    def test_one_plane_map_is_one_run(self):
+        blob = pack_map(self.PLANES[:1], tri_id=np.zeros((512, 928), np.int8))
+        assert len(blob) == _HEADER.size + _COUNTS.size + 16 + 8
+
+    @pytest.mark.parametrize("tri_id", [[[0, 2]], [[-3, 0]], [[0.0, 1.0]], [0, 1]])
+    def test_pack_refuses_bad_ids(self, tri_id):
+        with pytest.raises(ValueError):
+            pack_map(self.PLANES, tri_id=np.array(tri_id))
+
+    def test_pack_refuses_a_mask(self):
+        with pytest.raises(ValueError):
+            pack_map(self.PLANES, np.ones((1, 2), bool), tri_id=np.zeros((1, 2), int))
+
+    def test_pack_refuses_more_than_the_cap(self):
+        # A zero-stride raster: nothing of the map's size is allocated.
+        huge = np.broadcast_to(np.int32(0), (2**14, 2**14 + 1))
+        with pytest.raises(ValueError):
+            pack_map(np.zeros((1, 1)), tri_id=huge)
+
+    @pytest.mark.parametrize("blob, message", [
+        (piecewise_blob(2, 3, PLANES, [2, 3], [0, 1]), "cover"),
+        (piecewise_blob(2, 3, PLANES, [2, 3, 2], [0, 1, 0]), "cover"),
+        (piecewise_blob(2, 3, PLANES, [2**32 - 1, 7], [0, 1]), "cover"),
+        (piecewise_blob(2, 3, PLANES, [6], [2]), "beyond"),
+        (piecewise_blob(2, 3, np.zeros((0, 4)), [6], [0], c=4), "empty"),
+        (piecewise_blob(2, 3, PLANES, [6], [0])[:-1], "truncated"),
+        (piecewise_blob(2, 3, PLANES, [6], [0])[:_HEADER.size + 4], "truncated"),
+        (piecewise_blob(2, 3, PLANES, [6], [0]) + b"\x00", "trailing"),
+        (piecewise_blob(2, 3, PLANES, [6], [0], mask=1), "mask"),
+        # A 53-byte file, valid but for the cap, that asks for 2 GiB of float32.
+        (piecewise_blob(2**14, 2**14, PLANES[:, :2], [2**28], [0]), "exceeds"),
+    ])
+    def test_rejects(self, blob, message):
+        with pytest.raises(ParseError, match=message):
+            unpack_map(blob)
+
+    def test_dense_maps_still_load(self, tmp_path):
+        # The writer keeps the dense layout for arrays; both decode alike.
+        tri_id = np.array([[1, -1, 0], [0, 0, 1]], np.int32)
+        dense = pack_map(self.PLANES[tri_id])
+        (tmp_path / "v1.gpkm").write_bytes(dense)
+        (tmp_path / "v2.gpkm").write_bytes(pack_map(self.PLANES, tri_id=tri_id))
+        assert dense[4] == 1
+        assert np.array_equal(load_denorm_map(tmp_path / "v1.gpkm").data,
+                              load_denorm_map(tmp_path / "v2.gpkm").data)
+
+
+@st.composite
+def plane_tables(draw):
+    """(planes, tri_id): an (n, c) table and an (h, w) raster of ids in
+    [-1, n), random, one run, or 1x1."""
+    n, c = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    planes = draw(hnp.arrays(np.float64, (n, c), elements=st.floats(width=32)))
+    shape = draw(st.tuples(st.integers(1, 7), st.integers(1, 9)))
+    ids = st.integers(-1, n - 1)
+    tri_id = draw(st.one_of(hnp.arrays(np.int32, shape, elements=ids),
+                            ids.map(lambda i: np.full(shape, i, np.int32))))
+    return planes, tri_id
+
+
+@pytest.fixture(scope="module")
+def gpkm_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("gpkm") / "map.gpkm"
+
+
+class TestPiecewiseProperties:
+    @given(plane_tables())
+    @example((np.array([[1.0, 2.0, 3.0, 4.0]]), np.array([[-1]], np.int32)))
+    @example((np.eye(3, 4), np.array([[2]], np.int32)))
+    def test_round_trip(self, gpkm_path, table):
+        planes, tri_id = table
+        want = planes.astype("<f4")[tri_id % len(planes)]
+        gpkm_path.write_bytes(pack_map(planes, tri_id=tri_id))
+        data, mask = unpack_map(gpkm_path.read_bytes())
+        assert mask is None
+        assert data.dtype == np.float32 and data.shape == want.shape
+        assert np.array_equal(data.view(np.uint32), want.view(np.uint32))
+        if planes.shape[1] == 4:
+            loaded = load_denorm_map(gpkm_path).data
+            assert np.array_equal(loaded.view(np.uint64),
+                                  want.astype(np.float64).view(np.uint64))
+        else:
+            with pytest.raises(ParseError):
+                load_denorm_map(gpkm_path)
+
+
 VALID_BLOBS = [
     pack_map(np.arange(24, dtype=np.float32).reshape(2, 3, 4)),
     pack_map(np.ones((3, 5), dtype=np.float32), np.eye(3, 5, dtype=bool)),
+    pack_map(np.arange(12.0).reshape(3, 4), tri_id=np.array([[2, 2, -1], [0, 1, 1]])),
 ]
 
 
@@ -319,13 +441,16 @@ def assert_returns_or_parse_error(blob):
 
 
 class TestGpkmProperties:
-    # Half the inputs carry a valid magic and version, so the dimension and
-    # payload checks see arbitrary values. The examples are empty maps of
-    # huge extents, which numpy cannot shape.
-    @given(st.one_of(st.binary(max_size=96), st.binary(max_size=88).map(
-        lambda rest: b"GPKM\x01\x00\x00\x00" + rest)))
+    # Two thirds of the inputs carry a valid magic and version, dense or
+    # piecewise, so the dimension, table and run checks see arbitrary
+    # values. The examples are empty maps of huge extents, which numpy
+    # cannot shape, and a one-run piecewise map far beyond the value cap.
+    @given(st.one_of(st.binary(max_size=96), *(
+        st.binary(max_size=88).map(lambda rest, v=v: b"GPKM" + v + rest)
+        for v in (b"\x01\x00\x00\x00", b"\x02\x00\x00\x00"))))
     @example(_HEADER.pack(b"GPKM", 1, 2**32 - 1, 2**32 - 1, 0, 0))
     @example(_HEADER.pack(b"GPKM", 1, 0, 2**31, 2**31, 0))
+    @example(piecewise_blob(2**32 - 1, 2**32 - 1, [[1.0]], [2**32 - 1], [0]))
     def test_any_bytes(self, blob):
         assert_returns_or_parse_error(blob)
 
