@@ -43,7 +43,6 @@ from .dataio import (
 )
 from .errors import (
     AllDegenerate,
-    BehindCamera,
     CollinearPoints,
     ConfigError,
     DegeneratePlane,
@@ -51,9 +50,7 @@ from .errors import (
     DomainError,
     EmptyInput,
     GpkError,
-    HorizonRay,
     InsufficientPoints,
-    NonPositiveDepth,
     ParseError,
     QuantityMismatch,
     ShapeMismatch,
@@ -63,17 +60,11 @@ from .geometry import (
     CameraAttitude,
     CameraIntrinsics,
     GroundPlane,
-    Pixel,
-    apply_homography,
     attitude_to_plane,
-    back_project,
     bottom_center,
-    ground_depth_at_pixel,
     ground_homography,
     perturbation_rotation,
-    plane_from_three_points,
     plane_to_attitude,
-    project_point,
     rotate_plane,
     rotation_pitch,
     rotation_roll,

@@ -75,6 +75,18 @@ def _config_digest(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+@functools.cache
+def _versions() -> dict:
+    """Versions of gpk and what it runs on. scipy's is read from its package
+    metadata: importing scipy only to ask would cost far more."""
+    import importlib.metadata
+
+    from . import __version__
+
+    return {"gpk": __version__, "python": "%d.%d.%d" % sys.version_info[:3],
+            "numpy": np.__version__, "scipy": importlib.metadata.version("scipy")}
+
+
 def write_manifest(args, inputs, outputs, counters, t0) -> None:
     cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     cfg["seed"] = getattr(args, "seed", None) or 0
@@ -86,6 +98,7 @@ def write_manifest(args, inputs, outputs, counters, t0) -> None:
         "inputs": sorted(str(p) for p in inputs),
         "outputs": sorted(str(p) for p in outputs),
         "counters": counters,
+        "versions": _versions(),
         "wall_time_s": round(time.monotonic() - t0, 6),
     }
     atomic_write(

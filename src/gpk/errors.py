@@ -5,18 +5,6 @@ class GpkError(Exception):
     """Base class for all library errors."""
 
 
-class NonPositiveDepth(GpkError):
-    """A point at or behind the camera plane cannot be projected."""
-
-
-class HorizonRay(GpkError):
-    """The pixel ray is parallel to the ground plane."""
-
-
-class BehindCamera(GpkError):
-    """The ray-plane intersection lies behind the camera (sky pixel)."""
-
-
 class CollinearPoints(GpkError):
     """Three points do not span a plane."""
 

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BehindCamera,
-    DegeneratePlane,
-    CollinearPoints,
-    HorizonRay,
-    NonPositiveDepth,
-    SingularIntrinsics,
-)
+from .errors import DegeneratePlane, SingularIntrinsics
 
 _HORIZON_TOL = 1e-12
 
@@ -143,16 +136,6 @@ class CameraAttitude:
             raise ValueError("roll and pitch must lie in (-pi/2, pi/2)")
 
 
-@dataclass(frozen=True)
-class Pixel:
-    u: float
-    v: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.u) and math.isfinite(self.v)):
-            raise ValueError("pixel coordinates must be finite")
-
-
 def project_points(points, k: CameraIntrinsics) -> np.ndarray:
     """(n, 2) pixels (u, v) of (n, 3) camera-frame points; no depth check."""
     p = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -161,71 +144,22 @@ def project_points(points, k: CameraIntrinsics) -> np.ndarray:
                          k.fy * p[:, 1] / p[:, 2] + k.cy], axis=1)
 
 
-def project_point(p, k: CameraIntrinsics) -> Pixel:
-    """Project a camera-frame point to the image. Requires z > 0."""
-    p = np.asarray(p, dtype=float)
-    if p[2] <= 0:
-        raise NonPositiveDepth(f"z = {p[2]}")
-    return Pixel(*project_points(p, k)[0])
-
-
 def ray_ground_denominator(u, v, k: CameraIntrinsics, g: GroundPlane):
     """alpha*(u-cx)/fx + beta*(v-cy)/fy + gamma; the ray meets g at z = -d / it."""
     return g.alpha * (u - k.cx) / k.fx + g.beta * (v - k.cy) / k.fy + g.gamma
 
 
 def ground_depths(u, v, k: CameraIntrinsics, g: GroundPlane):
-    """(depth, valid) at broadcastable pixel coordinates: ground_depth_at_pixel's
-    depth, or 0 and not valid where it raises HorizonRay or BehindCamera."""
-    denom = ray_ground_denominator(u, v, k, g)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """(depth, valid) at broadcastable pixel coordinates: the depth z of the
+    ray-ground intersection, valid where the ray is not parallel to the
+    plane (|denominator| > 1e-12) and meets it in front of the camera
+    (z > 0). Elsewhere the depth is 0, also where the arithmetic overflows
+    or a pixel is not finite. Python floats are taken as 0-d arrays."""
+    with np.errstate(all="ignore"):
+        denom = np.asarray(ray_ground_denominator(u, v, k, g), dtype=float)
         z = -g.d / denom
     valid = (np.abs(denom) > _HORIZON_TOL) & (z > 0)
     return np.where(valid, z, 0.0), valid
-
-
-def ground_depth_at_pixel(px: Pixel, k: CameraIntrinsics, g: GroundPlane) -> float:
-    """Depth of the ray-ground intersection for one pixel.
-
-    Closed form of the joint pinhole + plane constraint:
-    z = -d / (alpha*(u-cx)/fx + beta*(v-cy)/fy + gamma).
-    """
-    denom = ray_ground_denominator(px.u, px.v, k, g)
-    if abs(denom) <= _HORIZON_TOL:
-        raise HorizonRay(f"ray at ({px.u}, {px.v}) is parallel to the plane")
-    z = -g.d / denom
-    if z <= 0:
-        raise BehindCamera(f"intersection at z = {z}")
-    return z
-
-
-def back_project(px: Pixel, k: CameraIntrinsics, z: float) -> np.ndarray:
-    """Camera-frame point at depth z along the pixel ray."""
-    return np.array(
-        [(px.u - k.cx) / k.fx * z, (px.v - k.cy) / k.fy * z, z]
-    )
-
-
-def plane_from_three_points(p1, p2, p3) -> GroundPlane:
-    """Plane through three non-collinear points (expanded cross-product form)."""
-    x1, y1, z1 = (float(v) for v in p1)
-    x2, y2, z2 = (float(v) for v in p2)
-    x3, y3, z3 = (float(v) for v in p3)
-    a = (y2 - y1) * (z3 - z1) - (y3 - y1) * (z2 - z1)
-    b = (z2 - z1) * (x3 - x1) - (z3 - z1) * (x2 - x1)
-    c = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
-    d = -a * x1 - b * y1 - c * z1
-    # Past ~1e154 `**` raises where maps._fit_sub_planes' float_power gives
-    # an infinite edge, and that triple is skipped there as collinear.
-    try:
-        e1 = math.sqrt((x2 - x1) ** 2 + (y2 - y1) ** 2 + (z2 - z1) ** 2)
-        e2 = math.sqrt((x3 - x1) ** 2 + (y3 - y1) ** 2 + (z3 - z1) ** 2)
-    except OverflowError:
-        raise CollinearPoints("edge length overflows") from None
-    scale = max(e1 * e2, 1e-300)
-    if math.sqrt(a * a + b * b + c * c) <= 1e-9 * scale:
-        raise CollinearPoints("points do not span a plane")
-    return GroundPlane.from_raw(a, b, c, d)
 
 
 def plane_to_attitude(g: GroundPlane) -> CameraAttitude:
@@ -306,7 +240,3 @@ def ground_homography(
     r = perturbation_rotation(droll, dpitch)
     return k.matrix() @ r @ k.inverse_matrix()
 
-
-def apply_homography(h: np.ndarray, px: Pixel) -> Pixel:
-    v = h @ np.array([px.u, px.v, 1.0])
-    return Pixel(v[0] / v[2], v[1] / v[2])

@@ -121,11 +121,12 @@ def _fit_sub_planes(usable: np.ndarray, pts2d: np.ndarray):
 
     Returns (points3d (T, 3, 3), pixels (T, 3, 2), planes (T, 4), skipped)
     for the T fitted triangles, in Delaunay order. All triangles are fitted
-    at once with plane_from_three_points' expressions and unit_planes, so
-    each plane equals plane_from_three_points' bit for bit. Skipped and
-    counted: collinear or origin-crossing triples, triangles collinear in
-    image space, and planes that miss one of their generating points by
-    more than 1e-9 (nearly collinear triples).
+    at once: the normal is the cross product of the two edges from the
+    first point, normalized by unit_planes. Skipped and counted: triples
+    whose cross product is at most 1e-9 times the product of the edge
+    lengths (collinear, or edges whose squares overflow), origin-crossing
+    planes, triangles collinear in image space, and planes that miss one
+    of their generating points by more than 1e-9 (nearly collinear triples).
     """
     if len(usable) < 3:
         raise InsufficientPoints(f"{len(usable)} usable points, need 3")
@@ -150,7 +151,8 @@ def _fit_sub_planes(usable: np.ndarray, pts2d: np.ndarray):
         b = uz * vx - vz * ux
         c = ux * vy - vx * uy
         d = -a * x1 - b * y1 - c * z1
-        # float_power is C pow, as Python's ** is; x * x can round differently.
+        # float_power (C pow) and x * x can round differently, which can flip
+        # a collinearity decision near the threshold and change output bytes.
         sq = np.float_power(edges, 2)
         e1, e2 = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2]).T
         collinear = (np.sqrt(a * a + b * b + c * c)

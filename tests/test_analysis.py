@@ -20,19 +20,18 @@ from gpk.dataio import (
     label_table,
     synthesize_scene,
 )
-from gpk.errors import EmptyInput, GpkError, QuantityMismatch
+from gpk.errors import EmptyInput, QuantityMismatch
 from gpk.geometry import (
     CameraAttitude,
     CameraIntrinsics,
     GroundPlane,
     attitude_to_plane,
     bottom_center,
-    ground_depth_at_pixel,
     perturbation_rotation,
     plane_to_attitude,
-    project_point,
 )
 from gpk.maps import build_global_denorm_map, refine_map
+from reference import ground_depth, project
 
 
 def perturbation_pairs(n, sigma, seed):
@@ -61,12 +60,10 @@ def reference_ground_depths(frame):
     k = frame.rig.intrinsics
     out = []
     for obj in frame.objects:
-        p = bottom_center(obj.box3d, frame.ground)
-        try:
-            px = project_point(p, k)
-            out.append(ground_depth_at_pixel(px, k, frame.ground))
-        except GpkError:
-            continue
+        px = project(bottom_center(obj.box3d, frame.ground), k)
+        z = None if px is None else ground_depth(*px, k, frame.ground)
+        if z is not None:
+            out.append(z)
     return out
 
 
@@ -85,10 +82,8 @@ def reference_v_correlation(frames, quantity, perturb=None):
             p = bottom_center(obj.box3d, f.ground)
             if rot is not None:
                 p = rot @ p
-            if p[2] <= 0:
-                continue
-            px = project_point(p, k)
-            if not (0.0 <= px.v < img_h):
+            px = project(p, k)
+            if px is None or not (0.0 <= px[1] < img_h):
                 continue
             if quantity == "depth":
                 value = float(p[2])
@@ -97,7 +92,7 @@ def reference_v_correlation(frames, quantity, perturb=None):
             else:
                 value = att.pitch
             fids.append(f.frame_id)
-            vs.append(px.v)
+            vs.append(px[1])
             vals.append(value)
     return fids, np.array(vs), np.array(vals)
 

@@ -68,6 +68,12 @@ class TestGenMaps:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "gen-maps"
         assert manifest["counters"]["frames"] == 3
+        versions = manifest["versions"]
+        assert sorted(versions) == ["gpk", "numpy", "python", "scipy"]
+        assert versions["gpk"] == gpk.__version__
+        assert versions["numpy"] == np.__version__
+        assert versions["python"] == "%d.%d.%d" % sys.version_info[:3]
+        assert all(isinstance(v, str) and v for v in versions.values())
 
     def test_flat_scene_refinement_is_noop(self, tmp_path):
         out = tmp_path / "maps"

@@ -28,8 +28,8 @@ from gpk.geometry import (
     GroundPlane,
     attitude_to_plane,
     bottom_center,
+    bottom_centers,
     plane_to_attitude,
-    project_point,
     project_points,
 )
 
@@ -498,11 +498,10 @@ class TestSynthesis:
     def test_projections_inside_image(self):
         cfg = self.CFG
         for f in synthesize_scene(cfg):
-            k = f.rig.intrinsics
-            for o in f.objects:
-                px = project_point(bottom_center(o.box3d, f.ground), k)
-                assert 0 <= px.u <= cfg.image_width
-                assert 0 <= px.v <= cfg.image_height
+            u, v = project_points(bottom_centers(f.objects.box3d, f.ground),
+                                  f.rig.intrinsics).T
+            assert ((0 <= u) & (u <= cfg.image_width)).all()
+            assert ((0 <= v) & (v <= cfg.image_height)).all()
 
     def test_attitudes_within_config_ranges(self):
         cfg = SceneConfig(seed=7, n_frames=10, objects_per_frame=3)
@@ -514,12 +513,11 @@ class TestSynthesis:
 
     def test_box2d_contains_bottom_center_projection(self):
         for f in synthesize_scene(self.CFG):
-            k = f.rig.intrinsics
-            for o in f.objects:
-                px = project_point(bottom_center(o.box3d, f.ground), k)
-                left, top, right, bottom = o.box2d
-                assert left - 1e-6 <= px.u <= right + 1e-6
-                assert top - 1e-6 <= px.v <= bottom + 1e-6
+            u, v = project_points(bottom_centers(f.objects.box3d, f.ground),
+                                  f.rig.intrinsics).T
+            left, top, right, bottom = f.objects.box2d.T
+            assert ((left - 1e-6 <= u) & (u <= right + 1e-6)).all()
+            assert ((top - 1e-6 <= v) & (v <= bottom + 1e-6)).all()
 
     def test_child_seeds_make_frames_order_independent(self):
         # A fleet with more frames reproduces the shorter fleet's prefix.

@@ -1,10 +1,11 @@
 """Geometry tests against independent oracles.
 
 Oracles used here:
-  * ray-plane depth: solve the 3x3 linear system [K^-1 ray, plane] for the
-    intersection instead of the closed form;
-  * plane from points: direct numpy cross product;
-  * homography: rotate camera-frame points explicitly.
+  * ray-plane depth (geometry.ground_depths): solve for the intersection
+    with K^-1 and the plane instead of the closed form;
+  * sub-plane fit (maps._fit_sub_planes): direct numpy cross product;
+  * homography: rotate camera-frame points explicitly;
+  * array forms: the scalar expressions of tests/reference.py.
 """
 
 import math
@@ -13,40 +14,30 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from gpk.dataio import BOX3D_DTYPE
-from gpk.errors import (
-    BehindCamera,
-    CollinearPoints,
-    DegeneratePlane,
-    HorizonRay,
-    NonPositiveDepth,
-)
+from gpk.errors import AllDegenerate, DegeneratePlane
 from gpk.geometry import (
     CameraAttitude,
     CameraIntrinsics,
     GroundPlane,
-    Pixel,
-    apply_homography,
     attitude_to_plane,
-    back_project,
     bottom_center,
     bottom_centers,
-    ground_depth_at_pixel,
     ground_depths,
     ground_homography,
     perturbation_rotation,
-    plane_from_three_points,
     plane_to_attitude,
-    project_point,
     project_points,
     rotate_plane,
     rotation_pitch,
     rotation_roll,
     unit_planes,
 )
+from gpk.maps import _fit_sub_planes, _in_view
+from reference import back_project, ground_depth
 
 K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=464.0, cy=256.0)
 
@@ -60,9 +51,9 @@ def random_plane(rng) -> GroundPlane:
     return attitude_to_plane(att)
 
 
-def ray_plane_oracle(px: Pixel, k: CameraIntrinsics, g: GroundPlane) -> float:
+def ray_plane_oracle(u, v, k: CameraIntrinsics, g: GroundPlane) -> float:
     """Depth via an explicit linear solve: find t with n.(t*ray) + d = 0."""
-    ray = np.linalg.inv(k.matrix()) @ np.array([px.u, px.v, 1.0])
+    ray = np.linalg.inv(k.matrix()) @ np.array([u, v, 1.0])
     denom = g.normal @ ray
     t = -g.d / denom
     return t * ray[2]
@@ -113,69 +104,85 @@ class TestGroundPlane:
         assert g.signed_distance([0.0, 0.0, 0.0]) == 5.0
 
 
+def depth_at(u, v, k, g):
+    """ground_depths at one pixel, as (depth, valid) Python scalars."""
+    z, ok = ground_depths(u, v, k, g)
+    return float(z), bool(ok)
+
+
+def fit_triple(pts, pixels=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))):
+    """The one sub-plane _fit_sub_planes fits to three points, as a
+    GroundPlane. The default pixels span a triangle, so only the 3D points
+    decide whether the triple is degenerate."""
+    _, _, planes, skipped = _fit_sub_planes(np.asarray(pts, float),
+                                            np.asarray(pixels, float))
+    assert skipped == 0
+    return GroundPlane(*planes[0].tolist())
+
+
 class TestProjection:
     def test_principal_point(self):
-        px = project_point([0.0, 0.0, 10.0], K)
-        assert (px.u, px.v) == (K.cx, K.cy)
+        assert project_points([0.0, 0.0, 10.0], K).tolist() == [[K.cx, K.cy]]
 
     def test_rejects_nonpositive_depth(self):
-        with pytest.raises(NonPositiveDepth):
-            project_point([0.0, 0.0, 0.0], K)
+        # Points at or behind the camera have no pixel: the refined map's
+        # point filter drops them.
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, -5.0], [0.0, 0.0, 10.0]])
+        kept, pixels = _in_view(pts, K, 512, 928)
+        assert kept.tolist() == [[0.0, 0.0, 10.0]]
+        assert pixels.tolist() == [[K.cx, K.cy]]
 
     def test_back_project_round_trip(self):
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            p = np.array([rng.uniform(-20, 20), rng.uniform(-5, 10),
-                          rng.uniform(1, 200)])
-            px = project_point(p, K)
-            assert np.allclose(back_project(px, K, p[2]), p, atol=1e-9)
+        p = np.column_stack([rng.uniform(-20, 20, 200), rng.uniform(-5, 10, 200),
+                             rng.uniform(1, 200, 200)])
+        for (u, v), q in zip(project_points(p, K), p):
+            assert np.allclose(back_project(u, v, K, q[2]), q, atol=1e-9)
 
 
 class TestGroundDepth:
     def test_matches_linear_system_oracle(self):
         rng = np.random.default_rng(7)
+        checked = 0
         for _ in range(500):
             g = random_plane(rng)
-            px = Pixel(rng.uniform(0, 928), rng.uniform(0, 512))
-            try:
-                z = ground_depth_at_pixel(px, K, g)
-            except (HorizonRay, BehindCamera):
-                continue
-            assert z == pytest.approx(ray_plane_oracle(px, K, g), rel=1e-9)
+            u, v = rng.uniform(0, 928), rng.uniform(0, 512)
+            z, ok = depth_at(u, v, K, g)
+            if ok:
+                assert z == pytest.approx(ray_plane_oracle(u, v, K, g), rel=1e-9)
+                checked += 1
+        assert checked > 250
 
     def test_level_camera_below_horizon(self):
         # Camera looking straight ahead 1.5 m above flat ground: a pixel
         # 100 rows below the principal point sees the ground at z = 15.
         g = GroundPlane(0.0, -1.0, 0.0, 1.5)
-        z = ground_depth_at_pixel(Pixel(K.cx, K.cy + 100.0), K, g)
-        assert z == pytest.approx(1.5 * 1000.0 / 100.0, rel=1e-12)
+        z, ok = depth_at(K.cx, K.cy + 100.0, K, g)
+        assert ok and z == pytest.approx(1.5 * 1000.0 / 100.0, rel=1e-12)
 
-    def test_horizon_ray_raises(self):
+    def test_horizon_row_is_invalid(self):
+        # The ray through the principal point is parallel to level ground.
         g = GroundPlane(0.0, -1.0, 0.0, 1.5)
-        with pytest.raises(HorizonRay):
-            ground_depth_at_pixel(Pixel(K.cx, K.cy), K, g)
+        assert depth_at(K.cx, K.cy, K, g) == (0.0, False)
 
-    def test_sky_pixel_raises_behind_camera(self):
+    def test_sky_pixel_is_invalid(self):
+        # Above the horizon the ray meets the ground behind the camera.
         g = GroundPlane(0.0, -1.0, 0.0, 1.5)
-        with pytest.raises(BehindCamera):
-            ground_depth_at_pixel(Pixel(K.cx, K.cy - 50.0), K, g)
+        assert depth_at(K.cx, K.cy - 50.0, K, g) == (0.0, False)
 
     def test_monotone_in_v_below_horizon(self):
         g = attitude_to_plane(CameraAttitude(roll=0.0, pitch=0.175, height=6.0))
-        vs = np.linspace(470.0, 511.0, 40)
-        zs = [ground_depth_at_pixel(Pixel(K.cx, v), K, g) for v in vs]
-        assert all(a > b for a, b in zip(zs, zs[1:]))
+        zs, ok = ground_depths(K.cx, np.linspace(470.0, 511.0, 40), K, g)
+        assert ok.all() and (np.diff(zs) < 0).all()
 
     def test_intersection_lies_on_plane(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             g = random_plane(rng)
-            px = Pixel(rng.uniform(0, 928), rng.uniform(0, 512))
-            try:
-                z = ground_depth_at_pixel(px, K, g)
-            except (HorizonRay, BehindCamera):
-                continue
-            assert abs(g.signed_distance(back_project(px, K, z))) < 1e-8
+            u, v = rng.uniform(0, 928), rng.uniform(0, 512)
+            z, ok = depth_at(u, v, K, g)
+            if ok:
+                assert abs(g.signed_distance(back_project(u, v, K, z))) < 1e-8
 
 
 class TestPlaneFit:
@@ -183,10 +190,7 @@ class TestPlaneFit:
         rng = np.random.default_rng(3)
         for _ in range(300):
             pts = rng.uniform(-10, 10, size=(3, 3)) + [0, 5, 30]
-            try:
-                g = plane_from_three_points(*pts)
-            except (CollinearPoints, DegeneratePlane):
-                continue
+            g = fit_triple(pts, project_points(pts, K))
             n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
             n /= np.linalg.norm(n)
             if n @ pts[0] > 0:  # orient so that d = -n.p is positive
@@ -196,22 +200,26 @@ class TestPlaneFit:
                 assert abs(g.signed_distance(p)) < 1e-9
 
     def test_collinear_rejected(self):
-        with pytest.raises(CollinearPoints):
-            plane_from_three_points([0, 1, 1], [0, 1, 2], [0, 1, 3])
+        with pytest.raises(AllDegenerate):
+            fit_triple([(0, 1, 1), (0, 1, 2), (0, 1, 3)])
 
     def test_overflowing_edges_are_collinear(self):
         # The points span a plane, but the squares of their edge lengths
-        # overflow a float, so collinearity cannot be judged relative to
-        # the edges and the triple counts as collinear. maps._fit_sub_planes,
-        # whose float_power gives an infinite edge, skips it the same way.
-        with pytest.raises(CollinearPoints):
-            plane_from_three_points((0, 0, 0), (1e200, 0, 0), (0, 1e200, 0))
+        # overflow a float (float_power gives an infinite edge), so
+        # collinearity cannot be judged relative to the edges and the
+        # triple is skipped as collinear.
+        with pytest.raises(AllDegenerate):
+            fit_triple([(0, 0, 0), (1e200, 0, 0), (0, 1e200, 0)])
+
+    def test_origin_crossing_plane_rejected(self):
+        # x + y - z = 0 passes through the camera: d = 0.
+        with pytest.raises(AllDegenerate):
+            fit_triple([(1, 0, 1), (0, 1, 1), (1, 1, 2)])
 
     def test_near_collinear_scale_invariant(self):
         # Collinearity is judged relative to edge lengths, not absolutely.
         pts = np.array([[0.0, 5.0, 10.0], [1e-3, 5.0, 10.0], [0.0, 5.0, 10.001]])
-        g = plane_from_three_points(*pts)
-        assert abs(abs(g.beta) - 1.0) < 1e-9
+        assert abs(abs(fit_triple(pts).beta) - 1.0) < 1e-9
 
 
 class TestAttitude:
@@ -275,9 +283,17 @@ points = st.tuples(finite, finite, st.floats(min_value=0.0, exclude_min=True,
                                              allow_infinity=False))
 
 
+# A pixel row: anywhere, or at, just off or above the horizon row v_h of
+# its column, where the denominator is (nearly) zero.
+rows = st.one_of(
+    st.tuples(st.just("at"), st.floats(-1e4, 1e4)),
+    st.tuples(st.just("horizon"),
+              st.sampled_from([0.0, 1e-9, -1e-9, 1e-6, -1e-6, -1.0, -1e3])))
+
+
 class TestArrayForms:
-    """Rows of the array forms are bit-equal to the scalar calls and to the
-    scalar expressions written out."""
+    """Rows of the array forms are bit-equal to the scalar expressions
+    written out."""
 
     @given(st.lists(boxes, max_size=8), planes)
     def test_bottom_centers_rows(self, bs, g):
@@ -298,35 +314,24 @@ class TestArrayForms:
             with np.errstate(all="ignore"):
                 want = (k.fx * p[0] / p[2] + k.cx, k.fy * p[1] / p[2] + k.cy)
             assert (u, v) == want
-            if math.isfinite(u) and math.isfinite(v):
-                px = project_point(p, k)
-                assert (px.u, px.v) == (u, v)
-            else:
-                with pytest.raises(ValueError):
-                    project_point(p, k)
 
-    @given(intrinsics, planes, st.data())
-    def test_ground_depths_elements(self, k, g, data):
-        # Rows anywhere, and rows at, just off and above the horizon row
-        # v_h of each column, where the denominator is (nearly) zero.
-        us = data.draw(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=8))
-        vs = []
-        for u in us:
-            v_h = k.cy - k.fy * (g.alpha * (u - k.cx) / k.fx + g.gamma) / g.beta
-            vs.append(data.draw(st.one_of(
-                st.floats(-1e4, 1e4),
-                st.sampled_from([0.0, 1e-9, -1e-9, 1e-6, -1e-6, -1.0, -1e3])
-                .map(lambda dv, v_h=v_h: v_h + dv))))
+    # A subnormal denominator: -d / denom overflows, and must neither warn
+    # nor give a depth.
+    @example(CameraIntrinsics(1.0, 1.0, 0.0, 2.2250738585e-313),
+             attitude_to_plane(CameraAttitude(0.0, 0.0, 1.0)), [(0.0, ("at", 0.0))])
+    @given(intrinsics, planes, st.lists(st.tuples(st.floats(-1e4, 1e4), rows),
+                                        min_size=1, max_size=8))
+    def test_ground_depths_elements(self, k, g, pixels):
+        us = [u for u, _ in pixels]
+        vs = [v if kind == "at" else
+              k.cy - k.fy * (g.alpha * (u - k.cx) / k.fx + g.gamma) / g.beta + v
+              for u, (kind, v) in pixels]
         assume(all(math.isfinite(v) for v in vs))
         depth, valid = ground_depths(np.array(us), np.array(vs), k, g)
         assert depth.shape == valid.shape == (len(us),)
         for z, ok, u, v in zip(depth.tolist(), valid.tolist(), us, vs):
-            try:
-                want = ground_depth_at_pixel(Pixel(u, v), k, g)
-            except (HorizonRay, BehindCamera):
-                assert (ok, z) == (False, 0.0)
-            else:
-                assert ok and z == want
+            want = ground_depth(u, v, k, g)
+            assert (ok, z) == ((False, 0.0) if want is None else (True, want))
 
 
 def reference_from_raw(alpha, beta, gamma, d) -> GroundPlane:
@@ -445,7 +450,6 @@ class TestHomography:
             p_rot = perturbation_rotation(droll, dpitch) @ p
             if p_rot[2] <= 0:
                 continue
-            direct = project_point(p_rot, K)
-            via_h = apply_homography(h, project_point(p, K))
-            assert direct.u == pytest.approx(via_h.u, abs=1e-7)
-            assert direct.v == pytest.approx(via_h.v, abs=1e-7)
+            direct, clean = project_points([p_rot, p], K)
+            x, y, w = h @ [*clean, 1.0]
+            assert direct == pytest.approx([x / w, y / w], abs=1e-7)

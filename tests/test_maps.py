@@ -18,12 +18,9 @@ from gpk.geometry import (
     CameraAttitude,
     CameraIntrinsics,
     GroundPlane,
-    Pixel,
     attitude_to_plane,
-    bottom_center,
-    ground_depth_at_pixel,
-    plane_from_three_points,
-    project_point,
+    bottom_centers,
+    project_points,
 )
 from gpk.losses import denorm_l1
 from gpk.mapfile import (
@@ -45,6 +42,7 @@ from gpk.maps import (
     refine_map,
     triangulate_ground_points,
 )
+from reference import ground_depth, plane_through
 
 K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=464.0, cy=256.0)
 FLAT = GroundPlane(0.0, -1.0, 0.0, 6.0)
@@ -85,7 +83,7 @@ def make_region(pixels) -> TriangleRegion:
     pts3d = np.array([[-5.0, 6.0, 30.0], [5.0, 6.0, 35.0], [0.0, 6.0, 60.0]])
     return TriangleRegion(
         pixels=np.asarray(pixels, float),
-        plane=plane_from_three_points(*pts3d),
+        plane=FLAT,
         points3d=pts3d,
     )
 
@@ -93,16 +91,14 @@ def make_region(pixels) -> TriangleRegion:
 class TestDepthMap:
     def test_matches_per_pixel_closed_form(self):
         # The map is geometry.ground_depths at pixel centres: bit-equal to
-        # the per-pixel call where it returns a depth, and 0 where it raises.
+        # the scalar closed form where it gives a depth, and 0 elsewhere.
         g = attitude_to_plane(CameraAttitude(roll=0.02, pitch=0.2, height=5.0))
         m = build_ground_depth_map(K, g, 64, 96)
         for row in (0, 13, 40, 63):
             for col in (0, 17, 60, 95):
-                px = Pixel(col + 0.5, row + 0.5)
-                if m.valid[row, col]:
-                    assert m.depth[row, col] == ground_depth_at_pixel(px, K, g)
-                else:
-                    assert m.depth[row, col] == 0.0
+                z = ground_depth(col + 0.5, row + 0.5, K, g)
+                assert m.valid[row, col] == (z is not None)
+                assert m.depth[row, col] == (0.0 if z is None else z)
 
     def test_sky_rows_masked(self):
         m = build_ground_depth_map(K, FLAT, 512, 928)
@@ -228,9 +224,8 @@ class TestRefinement:
         # change, and each carries the triangle's sub-plane.
         g2 = attitude_to_plane(CameraAttitude(roll=0.02, pitch=0.23, height=6.5))
         boxes = self.boxes_on(g2, n=3, seed=11)
-        points = [bottom_center(b, FLAT) for b in boxes]
-        pixels = [project_point(p, self.K8) for p in points]
-        verts = np.array([[px.u, px.v] for px in pixels])
+        points = bottom_centers(boxes, FLAT)
+        verts = project_points(points, self.K8)
         want = barycentric_oracle(verts, 64, 116)
         assert want.sum() > 20
         planes, tri_id, stats = refine_map(FLAT, boxes, self.K8, 64, 116)
@@ -240,7 +235,7 @@ class TestRefinement:
                          "covered_pixels": int(want.sum())}
         changed = np.any(m.data != FLAT.params(), axis=2)
         assert np.array_equal(changed, want)
-        sub_plane = plane_from_three_points(*points).params()
+        sub_plane = plane_through(*points).params()
         assert np.all(m.data[want] == sub_plane)
 
     def test_loss_shape_mismatch(self):

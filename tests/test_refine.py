@@ -1,9 +1,10 @@
 """Refined-map tests against a per-triangle reference, plus property tests
 for the rasterizer and the sub-plane fit.
 
-The reference is the earlier per-triangle implementation kept verbatim:
-triangulate, fit each triangle with plane_from_three_points, and overwrite
-each triangle's covered pixels in order, so a later triangle wins a pixel.
+The reference is the earlier per-triangle implementation: triangulate, fit
+each triangle with the scalar plane_through of tests/reference.py, and
+overwrite each triangle's covered pixels in order, so a later triangle wins
+a pixel.
 """
 
 import numpy as np
@@ -13,20 +14,13 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from gpk.dataio import BOX3D_DTYPE, SceneConfig, synthesize_scene
-from gpk.errors import (
-    AllDegenerate,
-    CollinearPoints,
-    DegeneratePlane,
-    InsufficientPoints,
-    NonPositiveDepth,
-)
+from gpk.errors import AllDegenerate, CollinearPoints, InsufficientPoints
 from gpk.geometry import (
     CameraIntrinsics,
     GroundPlane,
     bottom_center,
     bottom_centers,
-    plane_from_three_points,
-    project_point,
+    project_points,
 )
 from gpk.maps import (
     TriangleRegion,
@@ -36,18 +30,15 @@ from gpk.maps import (
     refine_map,
     triangulate_ground_points,
 )
+from reference import plane_through, project
 
 
 def reference_triangulate(points, k):
     usable = []
     for p in points:
-        p = np.asarray(p, dtype=float)
-        try:
-            with np.errstate(over="ignore"):
-                px = project_point(p, k)
-        except (NonPositiveDepth, ValueError):  # z <= 0 or a non-finite pixel
-            continue
-        usable.append((p, (px.u, px.v)))
+        px = project(p, k)
+        if px is not None:  # None: z <= 0 or a non-finite pixel
+            usable.append((np.asarray(p, dtype=float), px))
     if len(usable) < 3:
         raise InsufficientPoints(f"{len(usable)} usable points, need 3")
 
@@ -66,10 +57,13 @@ def reference_triangulate(points, k):
     for tri in simplices:
         p3 = pts3d[tri]
         p2 = pts2d[tri]
+        plane = plane_through(*p3)
+        if plane is None:  # collinear or origin-crossing
+            skipped += 1
+            continue
         try:
-            plane = plane_from_three_points(p3[0], p3[1], p3[2])
             regions.append(TriangleRegion(pixels=p2, plane=plane, points3d=p3))
-        except (CollinearPoints, DegeneratePlane):
+        except CollinearPoints:  # flat in image space
             skipped += 1
         except ValueError:  # the plane misses a point: a nearly collinear triple
             skipped += 1
@@ -126,11 +120,8 @@ def reference_raster(triangles, h: int, w: int) -> np.ndarray:
 def in_map(p, k, h, w):
     """Whether refine_map keeps the bottom center p: in front of the
     camera, with a finite pixel in the map grown by its size each side."""
-    try:
-        px = project_point(np.asarray(p, dtype=float), k)
-    except (NonPositiveDepth, ValueError):
-        return False
-    return -w <= px.u <= 2 * w and -h <= px.v <= 2 * h
+    px = project(p, k)
+    return px is not None and -w <= px[0] <= 2 * w and -h <= px[1] <= 2 * h
 
 
 def reference_refine(g_initial, boxes, k, h, w):
@@ -265,7 +256,7 @@ def test_triangulation_drops_near_camera_point():
 
 
 def test_overflowing_triple_is_skipped_like_reference():
-    # Squared edge lengths overflow: plane_from_three_points calls the
+    # Squared edge lengths overflow: the scalar plane_through calls the
     # triple collinear, and the vectorized fit must skip it too. The
     # camera's image (2·cy x 2·cx) holds all three pixels.
     points = [(0.0, 0.0, 1.0), (1e200, 0.0, 1.0), (0.0, 1e200, 1.0)]
@@ -347,8 +338,7 @@ def test_fill_rule_partitions_the_hull(samples):
         regions, _ = triangulate_ground_points(points, K_UNIT)
     except (InsufficientPoints, AllDegenerate):
         return
-    projected = [project_point(p, K_UNIT) for p in points]
-    assert np.array_equal([[px.u, px.v] for px in projected], uv)
+    assert np.array_equal(project_points(points, K_UNIT), uv)
     try:
         hull = ConvexHull(uv)
         simplices = Delaunay(uv).simplices if len(uv) > 3 else [[0, 1, 2]]
