@@ -65,7 +65,6 @@ from .geometry import (
     ground_homography,
     perturbation_rotation,
     plane_to_attitude,
-    rotate_plane,
     rotation_pitch,
     rotation_roll,
 )

@@ -18,42 +18,26 @@ QUANTITIES = ("depth", "roll", "pitch")
 
 @dataclass
 class Histogram:
-    """Uniform-bin histogram with explicit under/overflow counters."""
+    """Uniform-bin histogram spanning its samples' [min, max]."""
 
     edges: np.ndarray  # (bins + 1,) strictly increasing
     counts: np.ndarray  # (bins,) int
-    underflow: int
-    overflow: int
     mean: float  # sample mean of the histogrammed values
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum()) + self.underflow + self.overflow
-
     @classmethod
-    def from_values(cls, values, bins: int, lo=None, hi=None,
-                    weights=None) -> "Histogram":
+    def from_values(cls, values, bins: int, weights=None) -> "Histogram":
         """`weights`: positive integer counts, each value counted that often."""
         values = np.asarray(list(values), dtype=float)
         n = np.ones(values.size, int) if weights is None else np.asarray(weights)
         if values.size == 0:
             raise EmptyInput("no values to histogram")
-        if lo is None:
-            lo = float(values.min())
-        if hi is None:
-            hi = float(values.max())
+        lo, hi = float(values.min()), float(values.max())
         if hi <= lo:
             hi = lo + 1.0  # all-equal samples: one occupied bin
         edges = np.linspace(lo, hi, bins + 1)
-        inside = (values >= lo) & (values <= hi)
-        counts, _ = np.histogram(values[inside], bins=edges, weights=n[inside])
-        return cls(
-            edges=edges,
-            counts=counts,
-            underflow=int(n[values < lo].sum()),
-            overflow=int(n[values > hi].sum()),
-            mean=float(np.average(values, weights=n)),
-        )
+        counts, _ = np.histogram(values, bins=edges, weights=n)
+        return cls(edges=edges, counts=counts,
+                   mean=float(np.average(values, weights=n)))
 
     def occupied_support(self):
         """(lo, hi) spanned by the occupied bins, or None if empty."""
@@ -148,8 +132,9 @@ def attitude_histograms(frames, bins: int, stride: int = 16):
                  for q in map_attitudes(np.concatenate(used)))
 
 
-def v_correlation_series(frames, quantity: str, perturb=None) -> ScatterSeries:
-    """(projected bottom-center v, quantity) per annotated object.
+def v_correlation_series(frames, perturb=None) -> dict:
+    """{quantity: ScatterSeries} of (projected bottom-center v, value) per
+    annotated object, for every quantity in QUANTITIES from one pass.
 
     Values come from the frame record: the object's camera-frame depth,
     or the stored ground prior's roll/pitch (constant per frame on flat
@@ -159,10 +144,9 @@ def v_correlation_series(frames, quantity: str, perturb=None) -> ScatterSeries:
     while the stored prior is left untouched. Comparing clean and
     perturbed series therefore shows how far each per-pixel
     representation drifts when the mount shifts. Objects that move
-    behind the camera or outside the image rows are dropped.
+    behind the camera or outside the image rows are dropped, so the
+    series share their frame ids and rows.
     """
-    if quantity not in QUANTITIES:
-        raise QuantityMismatch(f"unknown quantity {quantity!r}")
     frames = list(frames)
     if not frames:
         raise EmptyInput("no frames")
@@ -171,7 +155,7 @@ def v_correlation_series(frames, quantity: str, perturb=None) -> ScatterSeries:
         if len(perturb) != len(frames):
             raise ValueError("need one (droll, dpitch) pair per frame")
 
-    fids, vs, vals = [], [], []
+    fids, vs, vals = [], [], {q: [] for q in QUANTITIES}
     for i, f in enumerate(frames):
         p = bottom_centers(f.objects.box3d, f.ground)
         if perturb is not None:
@@ -181,21 +165,19 @@ def v_correlation_series(frames, quantity: str, perturb=None) -> ScatterSeries:
         p = p[p[:, 2] > 0]
         v = project_points(p, f.rig.intrinsics)[:, 1]
         seen = (0.0 <= v) & (v < f.image_size[0])
+        n = int(seen.sum())
         att = plane_to_attitude(f.ground)
-        value = {"depth": p[:, 2], "roll": att.roll, "pitch": att.pitch}[quantity]
-        fids.extend([f.frame_id] * int(seen.sum()))
+        fids.extend([f.frame_id] * n)
         vs.append(v[seen])
-        vals.append(np.broadcast_to(value, v.shape)[seen])
+        vals["depth"].append(p[seen, 2])
+        vals["roll"].append(np.full(n, att.roll))
+        vals["pitch"].append(np.full(n, att.pitch))
     v = np.concatenate(vs)
     if not v.size:
         raise EmptyInput("no visible objects")
-    return ScatterSeries(
-        quantity=quantity,
-        condition="clean" if perturb is None else "perturbed",
-        frame_ids=fids,
-        v=v,
-        values=np.concatenate(vals),
-    )
+    condition = "clean" if perturb is None else "perturbed"
+    return {q: ScatterSeries(q, condition, fids, v, np.concatenate(vals[q]))
+            for q in QUANTITIES}
 
 
 def overlap_coefficient(a: ScatterSeries, b: ScatterSeries) -> float:

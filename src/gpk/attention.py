@@ -41,14 +41,6 @@ class FeatureSequence:
     def __post_init__(self):
         self.tokens = _as_finite_matrix(self.tokens, "tokens")
 
-    @property
-    def t(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def c(self) -> int:
-        return self.tokens.shape[1]
-
 
 @dataclass
 class AttentionMap:

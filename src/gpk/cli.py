@@ -77,14 +77,16 @@ def _config_digest(cfg: dict) -> str:
 
 @functools.cache
 def _versions() -> dict:
-    """Versions of gpk and what it runs on. scipy's is read from its package
-    metadata: importing scipy only to ask would cost far more."""
-    import importlib.metadata
+    """Versions of gpk and what it runs on. scipy's is its `__version__`:
+    once numpy is loaded, `import scipy` (submodules stay unloaded) is
+    cheaper than a package-metadata lookup, and gen-maps and stats have
+    imported it already."""
+    import scipy
 
     from . import __version__
 
     return {"gpk": __version__, "python": "%d.%d.%d" % sys.version_info[:3],
-            "numpy": np.__version__, "scipy": importlib.metadata.version("scipy")}
+            "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def write_manifest(args, inputs, outputs, counters, t0) -> None:
@@ -311,24 +313,23 @@ def cmd_perturb(args) -> int:
         raise ParseError("--sigma must be finite and in [0, pi/6)")
     frames, inputs = _frames_from_args(args)
     pairs = _perturbation_pairs(len(frames), args.sigma, args.seed or 0)
-    quantities = ([args.quantity] if args.quantity else list(analysis.QUANTITIES))
+    clean = analysis.v_correlation_series(frames)
+    pert = analysis.v_correlation_series(frames, perturb=pairs)
+    quantities = [args.quantity] if args.quantity else analysis.QUANTITIES
     overlaps = {}
     for q in quantities:
-        clean = analysis.v_correlation_series(frames, q)
-        pert = analysis.v_correlation_series(frames, q, perturb=pairs)
-        overlaps[q] = analysis.overlap_coefficient(clean, pert)
-        for series in (clean, pert):
-            out.write(f"scatter_{q}_{series.condition}.csv", series.to_csv())
-        plot = svg.scatter_svg(
-            [("clean", clean.v, clean.values), ("perturbed", pert.v, pert.values)],
-            title=f"{q} vs image row",
-        )
+        pair = (clean[q], pert[q])
+        overlaps[q] = analysis.overlap_coefficient(*pair)
+        for s in pair:
+            out.write(f"scatter_{q}_{s.condition}.csv", s.to_csv())
+        plot = svg.scatter_svg([(s.condition, s.v, s.values) for s in pair],
+                               title=f"{q} vs image row")
         out.write(f"scatter_{q}.svg", plot)
     out.write("overlap.csv", "quantity,overlap\n"
               + "".join(f"{q},{overlaps[q]!r}\n" for q in quantities))
     for q in quantities:
         print(f"overlap({q}) = {overlaps[q]:.6f}")
-    if set(("depth", "roll", "pitch")) <= set(quantities):
+    if not args.quantity:
         ordering = (overlaps["pitch"] > overlaps["depth"]
                     and overlaps["roll"] > overlaps["depth"])
         print(f"attitude-over-depth ordering holds: {ordering}")

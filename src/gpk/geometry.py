@@ -169,10 +169,9 @@ def plane_to_attitude(g: GroundPlane) -> CameraAttitude:
     the upward-oriented unit normal. Yaw about the normal is unobservable
     from a plane equation and is defined as zero.
     """
-    if g.d <= 0:
-        raise DegeneratePlane("d must be positive")
-    # d > 0 orients the normal toward the camera; flip only if it points
-    # below the horizontal (physically impossible for a mounted camera).
+    # d > 0, which every GroundPlane holds, orients the normal toward the
+    # camera; flip only if it points below the horizontal (physically
+    # impossible for a mounted camera).
     s = -1.0 if g.beta > 0 else 1.0
     pitch = math.asin(max(-1.0, min(1.0, -g.gamma * s)))
     roll = math.atan2(g.alpha * s, -g.beta * s)
@@ -218,15 +217,6 @@ def rotation_pitch(angle: float) -> np.ndarray:
 def perturbation_rotation(droll: float, dpitch: float) -> np.ndarray:
     """Camera-frame rotation offset: R_pitch(dpitch) @ R_roll(droll)."""
     return rotation_pitch(dpitch) @ rotation_roll(droll)
-
-
-def rotate_plane(g: GroundPlane, droll: float, dpitch: float) -> GroundPlane:
-    """Plane as seen by the camera after a pure rotation about its center.
-
-    A rotation about the origin maps n -> R n and preserves d.
-    """
-    n = perturbation_rotation(droll, dpitch) @ g.normal
-    return GroundPlane.from_raw(n[0], n[1], n[2], g.d)
 
 
 def ground_homography(

@@ -252,11 +252,10 @@ def test_07_robustness_ordering():
             tuple(np.clip(rng.normal(0.0, sigma, 2), -3 * sigma, 3 * sigma))
             for _ in frames
         ]
-        overlaps = {}
-        for q in ("depth", "roll", "pitch"):
-            clean = v_correlation_series(frames, q)
-            pert = v_correlation_series(frames, q, perturb=pairs)
-            overlaps[q] = overlap_coefficient(clean, pert)
+        clean = v_correlation_series(frames)
+        pert = v_correlation_series(frames, perturb=pairs)
+        overlaps = {q: overlap_coefficient(clean[q], pert[q])
+                    for q in ("depth", "roll", "pitch")}
         margin = min(
             overlaps["pitch"] - overlaps["depth"],
             overlaps["roll"] - overlaps["depth"],

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gpk.analysis import (
+    QUANTITIES,
     Histogram,
     ScatterSeries,
     attitude_histograms,
@@ -121,8 +122,7 @@ def edge_case_frame():
 def assert_same_histogram(got, want):
     assert np.array_equal(got.edges, want.edges)
     assert np.array_equal(got.counts, want.counts)
-    assert (got.underflow, got.overflow, got.mean) == (
-        want.underflow, want.overflow, want.mean)
+    assert got.mean == want.mean
 
 
 class TestArrayAnalysesEqualPerObjectReference:
@@ -140,7 +140,7 @@ class TestArrayAnalysesEqualPerObjectReference:
         frames = synthesize_scene(SceneConfig(seed=seed))
         pairs = (None if sigma is None
                  else perturbation_pairs(len(frames), sigma, seed))
-        got = v_correlation_series(frames, quantity, perturb=pairs)
+        got = v_correlation_series(frames, perturb=pairs)[quantity]
         fids, v, values = reference_v_correlation(frames, quantity, pairs)
         assert got.frame_ids == fids
         assert np.array_equal(got.v, v)
@@ -153,7 +153,7 @@ class TestArrayAnalysesEqualPerObjectReference:
         assert_same_histogram(depth_histogram([frame], 8),
                               Histogram.from_values(depths, 8))
         for quantity in ("depth", "pitch"):
-            got = v_correlation_series([frame], quantity)
+            got = v_correlation_series([frame])[quantity]
             fids, v, values = reference_v_correlation([frame], quantity)
             assert len(fids) == 4  # behind-camera and below-image boxes dropped
             assert got.frame_ids == fids
@@ -163,14 +163,15 @@ class TestArrayAnalysesEqualPerObjectReference:
 
 class TestHistogram:
     def test_counts_conserved(self):
-        h = Histogram.from_values([1, 2, 3, 50, -10], bins=4, lo=0.0, hi=10.0)
-        assert h.total == 5
-        assert h.underflow == 1 and h.overflow == 1
-        assert h.counts.sum() == 3
+        # The range is the samples' [min, max]: the extremes land in the
+        # end bins, the maximum on the closed right edge.
+        h = Histogram.from_values([1, 2, 3, 50, -10], bins=4)
+        assert (h.edges[0], h.edges[-1]) == (-10.0, 50.0)
+        assert h.counts.tolist() == [4, 0, 0, 1]
 
     def test_single_box_single_bin(self):
-        h = Histogram.from_values([50.0], bins=10, lo=0.0, hi=100.0)
-        assert h.counts[5] == 1 and h.counts.sum() == 1
+        h = Histogram.from_values([50.0], bins=10)
+        assert h.counts[0] == 1 and h.counts.sum() == 1
 
     def test_degenerate_all_equal(self):
         h = Histogram.from_values([3.0, 3.0, 3.0], bins=8)
@@ -186,15 +187,13 @@ class TestHistogram:
         with pytest.raises(EmptyInput):
             Histogram.from_values([], bins=4)
 
-    @pytest.mark.parametrize("lo,hi", [(None, None), (-0.5, 0.5)])
-    def test_weights_count_repeated_values(self, lo, hi):
+    def test_weights_count_repeated_values(self):
         rng = np.random.default_rng(3)
         v, n = rng.normal(size=40), rng.integers(1, 50, size=40)
-        got = Histogram.from_values(v, 8, lo, hi, weights=n)
-        want = Histogram.from_values(np.repeat(v, n), 8, lo, hi)
+        got = Histogram.from_values(v, 8, weights=n)
+        want = Histogram.from_values(np.repeat(v, n), 8)
         assert np.array_equal(got.edges, want.edges)
         assert np.array_equal(got.counts, want.counts)
-        assert (got.underflow, got.overflow) == (want.underflow, want.overflow)
         assert got.mean == pytest.approx(want.mean, rel=1e-12)
 
     def test_csv_schema(self):
@@ -210,7 +209,7 @@ class TestDepthHistogram:
         h = depth_histogram(frames, bins=64)
         lo, hi = h.occupied_support()
         assert lo >= 0.0 and hi <= 210.0
-        assert h.total == sum(len(f.objects) for f in frames)
+        assert h.counts.sum() == sum(len(f.objects) for f in frames)
 
     def test_no_frames_raises(self):
         with pytest.raises(EmptyInput):
@@ -239,7 +238,6 @@ class TestAttitudeHistograms:
         for g, w in zip(got, want):
             assert np.array_equal(g.edges, w.edges)
             assert np.array_equal(g.counts, w.counts)
-            assert (g.underflow, g.overflow) == (w.underflow, w.overflow)
             assert g.mean == pytest.approx(w.mean, rel=1e-12)
 
     def test_map_attitudes_inverts_plane(self):
@@ -267,23 +265,39 @@ class TestScatterSeries:
             SceneConfig(seed=2, n_frames=1, objects_per_frame=25,
                         roll_range=(0.0, 0.0))
         )
-        s = v_correlation_series(frames, "depth")
+        s = v_correlation_series(frames)["depth"]
         order = np.argsort(s.v)
         depths = s.values[order]
         assert all(a > b for a, b in zip(depths, depths[1:]))
 
     def test_zero_perturbation_identical(self):
-        clean = v_correlation_series(self.FRAMES, "depth")
+        clean = v_correlation_series(self.FRAMES)
         pert = v_correlation_series(
-            self.FRAMES, "depth", perturb=[(0.0, 0.0)] * len(self.FRAMES)
+            self.FRAMES, perturb=[(0.0, 0.0)] * len(self.FRAMES)
         )
-        assert np.array_equal(clean.v, pert.v)
-        assert np.array_equal(clean.values, pert.values)
-        assert (clean.condition, pert.condition) == ("clean", "perturbed")
+        for q in QUANTITIES:
+            assert np.array_equal(clean[q].v, pert[q].v)
+            assert np.array_equal(clean[q].values, pert[q].values)
+            assert (clean[q].condition, pert[q].condition) == (
+                "clean", "perturbed")
+
+    @pytest.mark.parametrize("sigma", [None, 0.3], ids=["clean", "0.3"])
+    def test_one_call_gives_every_quantity_on_shared_rows(self, sigma):
+        pairs = (None if sigma is None
+                 else perturbation_pairs(len(self.FRAMES), sigma, 5))
+        series = v_correlation_series(self.FRAMES, perturb=pairs)
+        assert list(series) == list(QUANTITIES)
+        depth = series["depth"]
+        for q, s in series.items():
+            assert (s.quantity, s.condition) == (q, depth.condition)
+            assert s.frame_ids == depth.frame_ids
+            assert np.array_equal(s.v, depth.v)
+            assert s.values.shape == depth.v.shape
 
     def test_attitude_constant_per_frame(self):
+        series = v_correlation_series(self.FRAMES)
         for quantity in ("roll", "pitch"):
-            s = v_correlation_series(self.FRAMES, quantity)
+            s = series[quantity]
             by_frame = {}
             for fid, val in zip(s.frame_ids, s.values):
                 by_frame.setdefault(fid, set()).add(val)
@@ -295,16 +309,12 @@ class TestScatterSeries:
             for fid, vals in by_frame.items():
                 assert vals == {expected[fid]}
 
-    def test_unknown_quantity(self):
-        with pytest.raises(QuantityMismatch):
-            v_correlation_series(self.FRAMES, "height")
-
     def test_perturb_length_mismatch(self):
         with pytest.raises(ValueError):
-            v_correlation_series(self.FRAMES, "depth", perturb=[(0.0, 0.0)])
+            v_correlation_series(self.FRAMES, perturb=[(0.0, 0.0)])
 
     def test_csv_schema(self):
-        s = v_correlation_series(self.FRAMES, "depth")
+        s = v_correlation_series(self.FRAMES)["depth"]
         lines = s.to_csv().strip().split("\n")
         assert lines[0] == "frame_id,v,value,condition"
         assert lines[1].endswith(",clean")
@@ -351,10 +361,9 @@ class TestOverlap:
         for seed in range(5):
             frames = synthesize_scene(SceneConfig(seed=seed))
             pairs = perturbation_pairs(len(frames), 0.3, seed + 10**6)
-            overlaps = {}
-            for q in ("depth", "roll", "pitch"):
-                clean = v_correlation_series(frames, q)
-                pert = v_correlation_series(frames, q, perturb=pairs)
-                overlaps[q] = overlap_coefficient(clean, pert)
+            clean = v_correlation_series(frames)
+            pert = v_correlation_series(frames, perturb=pairs)
+            overlaps = {q: overlap_coefficient(clean[q], pert[q])
+                        for q in ("depth", "roll", "pitch")}
             assert overlaps["pitch"] > overlaps["depth"]
             assert overlaps["roll"] > overlaps["depth"]

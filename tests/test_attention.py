@@ -59,6 +59,13 @@ class TestTypes:
         with pytest.raises(ShapeMismatch):
             BlockWeights.create(c=6, heads=4)
 
+    @pytest.mark.parametrize("c", [0, -4])
+    def test_create_rejects_non_positive_channels(self, c):
+        # create draws weights scaled by 1/sqrt(c) before the constructor
+        # checks shapes; its own check keeps c < 1 a ShapeMismatch.
+        with pytest.raises(ShapeMismatch, match="divisible by heads"):
+            BlockWeights.create(c=c, heads=1)
+
     def test_attention_map_row_sum_enforced(self):
         with pytest.raises(ValueError):
             AttentionMap(np.array([[0.5, 0.4]]))

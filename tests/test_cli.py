@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 import gpk
 from gpk import analysis
@@ -73,6 +74,7 @@ class TestGenMaps:
         assert versions["gpk"] == gpk.__version__
         assert versions["numpy"] == np.__version__
         assert versions["python"] == "%d.%d.%d" % sys.version_info[:3]
+        assert versions["scipy"] == scipy.__version__
         assert all(isinstance(v, str) and v for v in versions.values())
 
     def test_flat_scene_refinement_is_noop(self, tmp_path):
@@ -367,10 +369,17 @@ class TestPerturb:
         assert "error: --sigma must be finite and in [0, pi/6)" in err
 
     def test_single_quantity(self, tmp_path):
-        out = tmp_path / "p"
+        # One quantity's files are the bytes a run over all of them writes.
+        out, full = tmp_path / "p", tmp_path / "full"
         assert run(["perturb", "--out", str(out), "--quantity", "depth"]
                    + SMALL) == 0
-        assert "scatter_pitch_clean.csv" not in os.listdir(out)
+        assert run(["perturb", "--out", str(full)] + SMALL) == 0
+        one, every = dir_bytes(out), dir_bytes(full)
+        depth = ["scatter_depth.svg", "scatter_depth_clean.csv",
+                 "scatter_depth_perturbed.csv"]
+        assert sorted(one) == ["overlap.csv"] + depth
+        assert [one[n] for n in depth] == [every[n] for n in depth]
+        assert every["overlap.csv"].startswith(one["overlap.csv"])
 
 
 class TestStats:
@@ -456,9 +465,9 @@ class TestCsvNumbers:
                    + self.FLEET) == 0
         frames = synthesize_scene(SceneConfig(seed=3, n_frames=3))
         pairs = _perturbation_pairs(len(frames), 0.05, 3)
-        for q in analysis.QUANTITIES:
-            for pert in (None, pairs):
-                series = analysis.v_correlation_series(frames, q, perturb=pert)
+        for pert in (None, pairs):
+            for q, series in analysis.v_correlation_series(
+                    frames, perturb=pert).items():
                 _, (fids, v, values, cond) = csv_columns(
                     out / f"scatter_{q}_{series.condition}.csv")
                 assert fids == series.frame_ids

@@ -31,7 +31,6 @@ from gpk.geometry import (
     perturbation_rotation,
     plane_to_attitude,
     project_points,
-    rotate_plane,
     rotation_pitch,
     rotation_roll,
     unit_planes,
@@ -416,22 +415,6 @@ class TestUnitPlanes:
             one, one_ok = unit_planes(row)
             assert one_ok.tolist() == [fine]
             assert np.array_equal(one[0], plane, equal_nan=True)
-
-
-class TestPerturbation:
-    def test_rotate_plane_preserves_distance(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            g = random_plane(rng)
-            g2 = rotate_plane(g, rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
-            assert g2.d == pytest.approx(g.d, abs=1e-12)
-            assert np.linalg.norm(g2.normal) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rotate_plane_moves_normal_by_rotation(self):
-        g = GroundPlane(0.0, -1.0, 0.0, 6.0)
-        g2 = rotate_plane(g, 0.0, 0.25)
-        expected = rotation_pitch(0.25) @ g.normal
-        assert np.allclose(g2.normal, expected, atol=1e-12)
 
 
 class TestHomography:
