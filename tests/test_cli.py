@@ -49,6 +49,23 @@ def real_inputs(synth_dir, fid="000000"):
             "--denorm", str(synth_dir / f"denorm_{fid}.txt")]
 
 
+def synth_off_plane(tmp_path, seed, frames=1):
+    """`synth` frames of 400 objects whose labels are moved off the plane:
+    each box's y gains N(0, 0.3) m, drawn frame after frame from one RNG."""
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text("objects_per_frame = 400\n")
+    synth = tmp_path / "synth"
+    assert run(["synth", "--out", str(synth), "--seed", str(seed),
+                "--frames", str(frames), "--config", str(cfg)]) == 0
+    rng = np.random.default_rng(seed)
+    for i in range(frames):
+        labels = synth / f"label_{i:06d}.txt"
+        objects = parse_labels(labels.read_text())
+        objects.box3d.y += rng.normal(0.0, 0.3, len(objects))
+        labels.write_text(serialize_labels(objects))
+    return synth
+
+
 def dir_bytes(path, skip=("manifest.json",)):
     out = {}
     for name in sorted(os.listdir(path)):
@@ -247,15 +264,7 @@ class TestRealFrames:
     def test_residual_matches_dense_reference(self, tmp_path):
         # Labels moved off the plane give a residual well above rounding;
         # the report's reduction over the plane table equals the dense mean.
-        cfg = tmp_path / "dense.cfg"
-        cfg.write_text("objects_per_frame = 400\n")
-        synth = tmp_path / "synth"
-        assert run(["synth", "--out", str(synth), "--seed", "4", "--frames", "1",
-                    "--config", str(cfg)]) == 0
-        labels = synth / "label_000000.txt"
-        objects = parse_labels(labels.read_text())
-        objects.box3d.y += np.random.default_rng(4).normal(0.0, 0.3, len(objects))
-        labels.write_text(serialize_labels(objects))
+        synth = synth_off_plane(tmp_path, 4)
         out = tmp_path / "maps"
         args = ["--stride", "16"] + real_inputs(synth)
         assert run(["gen-maps", "--out", str(out)] + args) == 0
@@ -508,6 +517,9 @@ PINNED_OUTPUTS = {
     "perturb": (
         "perturb --seed 0 --frames 4", ALL,
         "102ce604c609d56bc955445ad10bd0921c00f335a42d79a1018d3879d7f4167c"),
+    "synth": (
+        "synth --seed 5 --frames 3", ALL,
+        "457117b5e02100bb45b4ce035eb4df85551a3e197dae0f361272a6fd28953f4a"),
 }
 
 
@@ -520,6 +532,22 @@ def test_pinned_output_digests(tmp_path, name):
         if file.startswith(prefixes):
             digest.update(f"{file} {hashlib.sha256(blob).hexdigest()}\n".encode())
     assert digest.hexdigest() == want
+
+
+def test_off_plane_reports_pinned(tmp_path):
+    # On the fleets above every |refined - global| is at most 6.5e-16, so
+    # their report.csv would not show a residual summed in another order.
+    # These labels leave the plane: twelve real frames, at both strides.
+    synth = synth_off_plane(tmp_path, 4, frames=12)
+    digest = hashlib.sha256()
+    for stride in ("1", "16"):
+        for i in range(12):
+            out = tmp_path / f"maps_{stride}_{i}"
+            assert run(["gen-maps", "--out", str(out), "--stride", stride]
+                       + real_inputs(synth, f"{i:06d}")) == 0
+            digest.update((out / "report.csv").read_bytes())
+    assert digest.hexdigest() == (
+        "e7aa7d44ea6f3c783f9b5ab0255f62177e6ac2939eae9faae4cad36e4a683195")
 
 
 class TestPlaneMapFiles:
@@ -560,15 +588,7 @@ class TestPlaneMapFiles:
 
     def test_labels_off_the_plane(self, tmp_path):
         # 400 boxes moved off the frame's plane: many sub-planes, many runs.
-        cfg = tmp_path / "dense.cfg"
-        cfg.write_text("objects_per_frame = 400\n")
-        synth = tmp_path / "synth"
-        assert run(["synth", "--out", str(synth), "--seed", "6", "--frames", "1",
-                    "--config", str(cfg)]) == 0
-        labels = synth / "label_000000.txt"
-        objects = parse_labels(labels.read_text())
-        objects.box3d.y += np.random.default_rng(6).normal(0.0, 0.3, len(objects))
-        labels.write_text(serialize_labels(objects))
+        synth = synth_off_plane(tmp_path, 6)
         out = tmp_path / "maps"
         (frame,) = self.gen_maps_frames(["gen-maps", "--out", str(out)]
                                         + real_inputs(synth))
