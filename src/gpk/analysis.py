@@ -122,10 +122,9 @@ def attitude_histograms(frames, bins: int, stride: int = 16):
         raise EmptyInput("no frames")
     used, counts = [], []
     for f in frames:
-        planes, tri_id, _ = refine_map(f.ground, f.objects.box3d,
-                                       *f.map_grid(stride))
-        ids, n = np.unique(tri_id, return_counts=True)
-        used.append(planes[ids])
+        refined, _ = refine_map(f.ground, f.objects.box3d, *f.map_grid(stride))
+        ids, n = refined.pixel_counts()
+        used.append(refined.planes[ids])
         counts.append(n)
     n = np.concatenate(counts)
     return tuple(Histogram.from_values(q, bins, weights=n)

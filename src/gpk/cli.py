@@ -42,8 +42,8 @@ from .dataio import (
 )
 from .errors import ConfigError, GpkError, ParseError
 from .losses import COMPONENT_NAMES, denorm_l1, frame_loss_components, total_loss
-from .mapfile import pack_map
-from .maps import build_ground_depth_map, refine_map
+from .mapfile import MAX_PIECEWISE_VALUES, pack_map
+from .maps import PlaneMap, build_ground_depth_map, refine_map
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -263,16 +263,16 @@ def _map_blobs(frame: FrameRecord, stride: int):
     k, h, w = frame.map_grid(stride)
     # Refine first, so the rasterizer's temporaries are gone before the
     # depth map exists. The plane maps are written as their plane tables.
-    planes, tri_id, stats = refine_map(frame.ground, frame.objects.box3d, k, h, w)
+    refined, stats = refine_map(frame.ground, frame.objects.box3d, k, h, w)
     # mean |refined - global|, each used plane weighted by its pixel count
-    ids, n = np.unique(tri_id, return_counts=True)
+    planes, (ids, n) = refined.planes, refined.pixel_counts()
     dev = np.abs(planes[ids] - planes[-1]) * n[:, None]
-    residual = float(dev.sum()) / (4 * tri_id.size)
+    residual = float(dev.sum()) / (4 * h * w)
     depth = build_ground_depth_map(k, frame.ground, h, w)
     blobs = (
         ("depth", pack_map(depth.depth, depth.valid)),
-        ("global", pack_map(planes[-1:], tri_id=np.zeros((h, w), np.int8))),
-        ("refined", pack_map(planes, tri_id=tri_id)),
+        ("global", pack_map(PlaneMap(planes[-1:], [h * w], [0], h, w))),
+        ("refined", pack_map(refined)),
     )
     return blobs, stats, residual
 
@@ -280,6 +280,10 @@ def _map_blobs(frame: FrameRecord, stride: int):
 def cmd_gen_maps(args) -> int:
     out = _Output(args)
     frames, inputs = _frames_from_args(args)
+    for _, h, w in (f.map_grid(args.stride) for f in frames):
+        if h * w * 4 > MAX_PIECEWISE_VALUES:  # refuse before building the maps
+            raise ParseError(f"a {h}x{w} map exceeds {MAX_PIECEWISE_VALUES} "
+                             "values of a piecewise map; lower --resolution")
     report, counters = [], {"frames": len(frames)}
     results = _per_frame(frames, args.jobs, lambda f: _map_blobs(f, args.stride))
     for frame, (blobs, stats, residual) in zip(frames, results):

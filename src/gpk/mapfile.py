@@ -8,8 +8,8 @@ all little-endian. The version names the layout of what follows:
   packed validity bits. `gen-maps` writes depth maps this way.
 - 2, piecewise (mask flag 0): `<II` plane count n and run count r, the
   (n, c) float32 plane table, then r u32 run lengths and r u32 plane
-  indices, the runs covering the row-major raster. `gen-maps` writes
-  global maps (one plane, one run) and refined maps this way.
+  indices, the runs covering the row-major raster (a maps.PlaneMap).
+  `gen-maps` writes global maps (one run) and refined maps this way.
 
 Both layouts decode to the same dense (h, w, c) float32 array, and
 round-trips are bit-exact. A piecewise header asking for more than
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .maps import DenormMap, GroundDepthMap
+from .maps import DenormMap, GroundDepthMap, PlaneMap
 
 MAGIC = b"GPKM"
 VERSION = 1
@@ -35,19 +35,14 @@ _HEADER = struct.Struct("<4sIIIIB")
 _COUNTS = struct.Struct("<II")
 
 
-def pack_map(data: np.ndarray, mask: np.ndarray | None = None,
-             tri_id: np.ndarray | None = None) -> bytes:
-    """Serialize an (h, w) or (h, w, c) array, optionally with a bool mask.
-
-    With `tri_id`, `data` is an (n, c) plane table and `tri_id` the (h, w)
-    integer raster indexing it as numpy does (-1 is the last row), so the
-    map is `data[tri_id]`; it is written in the piecewise layout.
-    """
-    data = np.asarray(data, dtype="<f4")
-    if tri_id is not None:
+def pack_map(data, mask: np.ndarray | None = None) -> bytes:
+    """Serialize an (h, w) or (h, w, c) array, optionally with a bool mask,
+    in the dense layout, or a PlaneMap in the piecewise layout."""
+    if isinstance(data, PlaneMap):
         if mask is not None:
             raise ValueError("a piecewise map has no mask")
-        return _pack_piecewise(data, np.asarray(tri_id))
+        return _pack_piecewise(data)
+    data = np.asarray(data, dtype="<f4")
     if data.ndim == 2:
         data = data[:, :, None]
     if data.ndim != 3:
@@ -65,23 +60,22 @@ def pack_map(data: np.ndarray, mask: np.ndarray | None = None,
     return b"".join(parts)
 
 
-def _pack_piecewise(planes: np.ndarray, tri_id: np.ndarray) -> bytes:
-    if planes.ndim != 2 or 0 in planes.shape:
-        raise ValueError(f"plane table must be a non-empty (n, c), not {planes.shape}")
-    if tri_id.ndim != 2 or 0 in tri_id.shape or tri_id.dtype.kind not in "iu":
-        raise ValueError("tri_id must be a non-empty (h, w) integer raster")
-    (n, c), (h, w) = planes.shape, tri_id.shape
+def _pack_piecewise(m: PlaneMap) -> bytes:
+    planes, h, w = np.asarray(m.planes, dtype="<f4"), m.h, m.w
+    # The file's (2, r) table of lengths and ids; np.stack refuses unpaired runs.
+    runs = np.stack([m.lengths, m.ids]).reshape(2, -1)
+    if planes.ndim != 2 or 0 in planes.shape or h < 1 or w < 1:
+        raise ValueError(f"empty {h}x{w} map or (n, c) plane table {planes.shape}")
+    n, c = planes.shape
     if h * w * c > MAX_PIECEWISE_VALUES:
         raise ValueError(f"piecewise map {h}x{w}x{c} exceeds {MAX_PIECEWISE_VALUES} values")
-    flat = tri_id.reshape(-1)
-    starts = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    ids = flat[np.concatenate(([0], starts))].astype(np.int64)
-    if ids.min() < -n or ids.max() >= n:
-        raise ValueError(f"tri_id outside the {n}-plane table")
-    lengths = np.diff(starts, prepend=0, append=flat.size)
+    if runs.dtype.kind not in "iu" or runs[0].sum() != h * w or runs.min() < 0:
+        raise ValueError(f"runs must be non-negative integers covering {h}x{w} pixels")
+    if runs[1].max() >= n:
+        raise ValueError(f"a run names a plane beyond the {n}-plane table")
     return b"".join((_HEADER.pack(MAGIC, PIECEWISE, h, w, c, 0),
-                     _COUNTS.pack(n, len(ids)), planes.tobytes(),
-                     lengths.astype("<u4").tobytes(), (ids % n).astype("<u4").tobytes()))
+                     _COUNTS.pack(n, runs.shape[1]), planes.tobytes(),
+                     runs.astype("<u4").tobytes()))
 
 
 def unpack_map(blob: bytes):
@@ -147,8 +141,7 @@ def _unpack_piecewise(blob, h, w, c, has_mask, dtype):
         raise ParseError(f"GPKM runs do not cover the {h}x{w} map")
     if ids.max() >= n:  # r >= 1 here, since the runs cover h * w > 0 pixels
         raise ParseError(f"GPKM run names a plane beyond the {n}-plane table")
-    # Repeat whole rows of the plane table: far cheaper than planes[tri_id].
-    return np.repeat(planes.astype(dtype)[ids], lengths, axis=0).reshape(h, w, c)
+    return PlaneMap(planes, lengths, ids, h, w).dense(dtype)
 
 
 def load_depth_map(path) -> GroundDepthMap:

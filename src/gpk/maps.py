@@ -6,9 +6,9 @@ fit a plane to each triangle's generating 3D points, all triangles at once.
 One scanline rasterizer then writes a triangle-id raster with a
 pixel-center / top-left fill rule; where two triangles claim a pixel, the
 higher triangle index wins. The map stays piecewise planar: refine_map
-returns the plane table (sub-planes, then the global plane) and the
-raster, and `planes[tri_id]` is the dense map, since id -1 (no triangle)
-selects the global plane in the last row.
+returns it as a PlaneMap, the plane table (sub-planes, then the global
+plane) and the raster's row-major runs, a pixel no triangle owns taking
+the global plane.
 """
 
 from __future__ import annotations
@@ -40,6 +40,30 @@ class DenormMap:
     """Per-pixel plane equation map, channels (alpha, beta, gamma, d)."""
 
     data: np.ndarray  # (h, w, 4) float64
+
+
+@dataclass
+class PlaneMap:
+    """A piecewise-planar (h, w) map: row-major runs over the grid, run i
+    being lengths[i] pixels of the plane planes[ids[i]], each id in [0, n)."""
+
+    planes: np.ndarray  # (n, c) plane table
+    lengths: np.ndarray  # (r,) run lengths, summing to h * w
+    ids: np.ndarray  # (r,) plane indices
+    h: int
+    w: int
+
+    def pixel_counts(self):
+        """(ids, integer pixel counts) of the planes used: the last (a refined
+        map's global plane) first, then ascending: the residual's summation order."""
+        order = np.roll(np.arange(len(self.planes)), 1)
+        counts = np.bincount(self.ids, self.lengths, len(self.planes))[order]
+        return order[counts > 0], counts[counts > 0].astype(np.int64)
+
+    def dense(self, dtype=None):
+        """The (h, w, c) map, in `dtype` if given: plane-table rows repeated."""
+        return np.repeat(np.asarray(self.planes, dtype)[self.ids], self.lengths,
+                         axis=0).reshape(self.h, self.w, -1)
 
 
 @dataclass
@@ -263,12 +287,12 @@ def _rasterize(pixels, h: int, w: int) -> np.ndarray:
 
 
 def refine_map(g_initial: GroundPlane, boxes, k: CameraIntrinsics, h: int, w: int):
-    """(planes, tri_id, stats) of the refined map.
+    """(PlaneMap, stats) of the refined map.
 
-    `planes` is the (T + 1, 4) table of the T fitted sub-planes followed by
-    the global plane; `tri_id` is the (h, w) int32 raster of the sub-plane
-    owning each pixel, or -1 (the global plane). `planes[tri_id]` is the
-    dense (h, w, 4) map. `stats` counts {'dropped_points',
+    The map's planes are the (T + 1, 4) table of the T fitted sub-planes
+    followed by the global plane; its runs are the maximal runs of the
+    rasterized sub-plane ids, a pixel no sub-plane owns taking the global
+    plane. `stats` counts {'dropped_points',
     'insufficient_points', 'degenerate_skipped', 'triangles',
     'covered_pixels'}. `boxes` is a label table's box3d column. Bottom
     centers behind the camera, or whose pixel is not finite or lies beyond
@@ -289,8 +313,12 @@ def refine_map(g_initial: GroundPlane, boxes, k: CameraIntrinsics, h: int, w: in
         stats["insufficient_points"] = 1
     except AllDegenerate:
         stats["degenerate_skipped"] = len(usable)
-    tri_id = _rasterize(pixels, h, w)
+    tri_id = _rasterize(pixels, h, w).reshape(-1)
+    starts = np.flatnonzero(tri_id[1:] != tri_id[:-1]) + 1
+    ids = tri_id[np.concatenate(([0], starts))]
+    lengths = np.diff(starts, prepend=0, append=tri_id.size)
     stats["triangles"] = len(planes)
-    stats["covered_pixels"] = int(np.count_nonzero(tri_id >= 0))
-    return np.vstack([planes, g_initial.params()]), tri_id, stats
+    stats["covered_pixels"] = int(lengths[ids >= 0].sum())
+    planes = np.vstack([planes, g_initial.params()])
+    return PlaneMap(planes, lengths, ids % len(planes), h, w), stats
 

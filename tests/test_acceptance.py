@@ -223,8 +223,8 @@ def test_05_refinement_fixed_point():
         c = np.array([x, y, z]) + 0.5 * h * g.normal
         boxes.append((c[0], c[1], c[2], 4.3, 1.8, h, 0.2))  # x y z l w h theta
     k = CameraIntrinsics(fx=62.5, fy=62.5, cx=29.0, cy=16.0)  # stride 16
-    planes, tri_id, _ = refine_map(g, np.array(boxes, BOX3D_DTYPE), k, 32, 58)
-    refined = DenormMap(planes[tri_id])
+    plane_map, _ = refine_map(g, np.array(boxes, BOX3D_DTYPE), k, 32, 58)
+    refined = DenormMap(plane_map.dense())
     loss = denorm_l1(refined.data, build_global_denorm_map(g, 32, 58).data)
     report(5, "refinement is a fixed point on flat ground", loss < 1e-9,
            f"L1 {loss:.2e}")

@@ -48,9 +48,8 @@ def dense_attitude_histograms(frames, bins, stride):
         k = f.rig.intrinsics
         h = max(int(round(2 * k.cy)) // stride, 1)
         w = max(int(round(2 * k.cx)) // stride, 1)
-        planes, tri_id, _ = refine_map(f.ground, f.objects.box3d,
-                                       k.scaled(stride), h, w)
-        for out, q in zip(samples, map_attitudes(planes[tri_id])):
+        refined, _ = refine_map(f.ground, f.objects.box3d, k.scaled(stride), h, w)
+        for out, q in zip(samples, map_attitudes(refined.dense())):
             out.append(q.reshape(-1))
     return [Histogram.from_values(np.concatenate(s), bins) for s in samples]
 

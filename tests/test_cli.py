@@ -149,8 +149,8 @@ class TestGenMaps:
                               "covered_pixels"), 0)
         cfg = SceneConfig(seed=1, n_frames=3, image_height=64, image_width=116)
         for frame in synthesize_scene(cfg):
-            _, _, stats = refine_map(frame.ground, frame.objects.box3d,
-                                     frame.rig.intrinsics.scaled(16), 4, 7)
+            _, stats = refine_map(frame.ground, frame.objects.box3d,
+                                  frame.rig.intrinsics.scaled(16), 4, 7)
             for key in want:
                 want[key] += stats[key]
         counters = json.loads((out / "manifest.json").read_text())["counters"]
@@ -165,6 +165,26 @@ class TestGenMaps:
         out = tmp_path / "maps"
         assert run(["gen-maps", "--out", str(out), "--jobs", jobs] + SMALL) == 1
         assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size,flags", [
+        ("9000x9000", ["--frames", "1", "--resolution", "9000x9000"]),
+        # The image is twice the principal point: 512 x 9.28e9 pixels.
+        ("512x9280000000", "P2: 1000 0 4.64e9 0 0 1000 256 0 0 0 1 0\n"),
+    ], ids=["resolution", "principal-point"])
+    def test_oversize_map_grid_exit_1(self, tmp_path, capsys, size, flags):
+        # Refused before any map is built: building one would take the
+        # whole map's memory, 17.3 TiB for the second, before the writer
+        # refused it.
+        if isinstance(flags, str):
+            synth = tmp_path / "synth"
+            assert run(["synth", "--out", str(synth), "--frames", "1"]) == 0
+            (synth / "calib_000000.txt").write_text(flags)
+            flags = real_inputs(synth)
+        out = tmp_path / "maps"
+        assert run(["gen-maps", "--out", str(out)] + flags) == 1
+        err = capsys.readouterr().err
+        assert f"error: a {size} map exceeds 268435456 values" in err
         assert not out.exists()
 
     def test_image_below_edge_margins_exit_1(self, tmp_path, capsys):
@@ -237,9 +257,8 @@ class TestRealFrames:
         assert counters["covered_pixels"] == 1464
         (frame,) = synthesize_scene(SceneConfig(
             seed=3, n_frames=1, image_height=1080, image_width=1920, focal=2000.0))
-        planes, tri_id, _ = refine_map(frame.ground, frame.objects.box3d,
-                                       *frame.map_grid(16))
-        assert np.array_equal(refined, planes[tri_id].astype(np.float32))
+        want, _ = refine_map(frame.ground, frame.objects.box3d, *frame.map_grid(16))
+        assert np.array_equal(refined, want.dense().astype(np.float32))
 
     def test_calib_with_tr_world_to_cam_gives_the_same_maps(self, tmp_path, synth):
         # Calibration files written before they became the P2 row alone
@@ -271,9 +290,9 @@ class TestRealFrames:
         row = (out / "report.csv").read_text().split("\n")[1]
         frame = _load_real_frame(build_parser().parse_args(
             ["gen-maps", "--out", str(out)] + args))
-        planes, tri_id, _ = refine_map(frame.ground, frame.objects.box3d,
-                                       *frame.map_grid(16))
-        want = np.mean(np.abs(planes[tri_id] - planes[-1]))
+        refined, _ = refine_map(frame.ground, frame.objects.box3d,
+                                *frame.map_grid(16))
+        want = np.mean(np.abs(refined.dense() - refined.planes[-1]))
         assert want > 0.01
         assert float(row.split(",")[1]) == pytest.approx(want, rel=1e-12)
 
@@ -551,8 +570,9 @@ def test_off_plane_reports_pinned(tmp_path):
 
 
 class TestPlaneMapFiles:
-    """gen-maps writes global and refined maps as refine_map's plane table:
-    every file decodes to `planes.astype('<f4')[tri_id]` bit for bit."""
+    """gen-maps writes global and refined maps as refine_map's PlaneMap:
+    every file decodes to its float32 plane table indexed per pixel, bit
+    for bit."""
 
     @staticmethod
     def gen_maps_frames(argv):
@@ -562,13 +582,14 @@ class TestPlaneMapFiles:
 
     @staticmethod
     def assert_files_hold_plane_table(out, frame, stride):
-        planes, tri_id, _ = refine_map(frame.ground, frame.objects.box3d,
-                                       *frame.map_grid(stride))
-        table = planes.astype("<f4")
+        refined, _ = refine_map(frame.ground, frame.objects.box3d,
+                                *frame.map_grid(stride))
+        table = refined.planes.astype("<f4")
+        ids = np.repeat(refined.ids, refined.lengths).reshape(refined.h, refined.w)
         fid = frame.frame_id
         assert (out / f"global_{fid}.gpkm").stat().st_size <= 64
-        for tag, want in (("global", table[np.full_like(tri_id, -1)]),
-                          ("refined", table[tri_id])):
+        for tag, want in (("global", table[np.full_like(ids, -1)]),
+                          ("refined", table[ids])):
             path = out / f"{tag}_{fid}.gpkm"
             data, mask = unpack_map(path.read_bytes())
             assert mask is None and data.dtype == np.float32, tag
@@ -576,7 +597,7 @@ class TestPlaneMapFiles:
             loaded = load_denorm_map(path).data
             assert np.array_equal(loaded.view(np.uint64),
                                   want.astype(np.float64).view(np.uint64)), tag
-        return tri_id
+        return ids, len(table) - 1  # the per-pixel plane ids, and the global's
 
     @pytest.mark.parametrize("stride", ["1", "16"])
     def test_synthetic_fleet(self, tmp_path, stride):
@@ -592,8 +613,9 @@ class TestPlaneMapFiles:
         out = tmp_path / "maps"
         (frame,) = self.gen_maps_frames(["gen-maps", "--out", str(out)]
                                         + real_inputs(synth))
-        tri_id = self.assert_files_hold_plane_table(out, frame, 1)
-        assert tri_id.max() > 10 and np.count_nonzero(tri_id >= 0) > tri_id.size // 4
+        ids, global_id = self.assert_files_hold_plane_table(out, frame, 1)
+        sub_plane = ids != global_id
+        assert ids[sub_plane].max() > 10 and np.count_nonzero(sub_plane) > ids.size // 4
 
 
 class TestSynth:

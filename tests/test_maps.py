@@ -35,6 +35,7 @@ from gpk.mapfile import (
 from gpk.maps import (
     DenormMap,
     GroundDepthMap,
+    PlaneMap,
     TriangleRegion,
     _rasterize,
     build_global_denorm_map,
@@ -196,15 +197,14 @@ class TestRefinement:
     def test_flat_ground_is_fixed_point(self):
         g = attitude_to_plane(CameraAttitude(roll=0.01, pitch=0.18, height=6.0))
         boxes = self.boxes_on(g)
-        planes, tri_id, _ = refine_map(g, boxes, self.K8, 64, 116)
-        refined = DenormMap(planes[tri_id])
+        refined = DenormMap(refine_map(g, boxes, self.K8, 64, 116)[0].dense())
         global_map = build_global_denorm_map(g, 64, 116)
         assert denorm_l1(refined.data, global_map.data) < 1e-9
 
     def test_too_few_boxes_returns_global(self):
-        planes, tri_id, stats = refine_map(FLAT, self.boxes_on(FLAT, n=2),
-                                           self.K8, 32, 58)
-        m = DenormMap(planes[tri_id])
+        refined, stats = refine_map(FLAT, self.boxes_on(FLAT, n=2),
+                                    self.K8, 32, 58)
+        m = DenormMap(refined.dense())
         assert stats["insufficient_points"] == 1
         assert np.array_equal(m.data, build_global_denorm_map(FLAT, 32, 58).data)
 
@@ -213,8 +213,8 @@ class TestRefinement:
         # refined map must differ from the global map inside the hull.
         g2 = attitude_to_plane(CameraAttitude(roll=0.0, pitch=0.21, height=6.0))
         boxes = self.boxes_on(g2, n=15, seed=3)
-        planes, tri_id, stats = refine_map(FLAT, boxes, self.K8, 64, 116)
-        m = DenormMap(planes[tri_id])
+        refined, stats = refine_map(FLAT, boxes, self.K8, 64, 116)
+        m = DenormMap(refined.dense())
         assert denorm_l1(m.data, build_global_denorm_map(FLAT, 64, 116).data) > 0
         assert stats["insufficient_points"] == 0
 
@@ -228,8 +228,8 @@ class TestRefinement:
         verts = project_points(points, self.K8)
         want = barycentric_oracle(verts, 64, 116)
         assert want.sum() > 20
-        planes, tri_id, stats = refine_map(FLAT, boxes, self.K8, 64, 116)
-        m = DenormMap(planes[tri_id])
+        refined, stats = refine_map(FLAT, boxes, self.K8, 64, 116)
+        m = DenormMap(refined.dense())
         assert stats == {"dropped_points": 0, "insufficient_points": 0,
                          "degenerate_skipped": 0, "triangles": 1,
                          "covered_pixels": int(want.sum())}
@@ -290,7 +290,7 @@ class TestGpkmFormat:
     @pytest.mark.parametrize("shape", [(0, 4), (3, 0)])
     def test_pack_refuses_empty_plane_table(self, shape):
         with pytest.raises(ValueError):
-            pack_map(np.zeros(shape), tri_id=np.zeros((2, 3), np.int32))
+            pack_map(PlaneMap(np.zeros(shape), [6], [0], 2, 3))
 
     def test_mask_bits_packed(self):
         mask = np.zeros((3, 3), dtype=bool)
@@ -328,31 +328,38 @@ class TestPiecewiseFormat:
     PLANES = np.array([[0.0, -1.0, 0.0, 6.0], [0.1, -0.9, 0.0, 5.0]])
 
     def test_runs_follow_the_raster(self):
-        tri_id = np.array([[0, 0, -1], [-1, -1, 1]], np.int32)
-        blob = pack_map(self.PLANES, tri_id=tri_id)
+        # The writer keeps the runs it is given, even two of one plane.
+        raster = np.array([[0, 0, 1], [1, 1, 1]])
+        blob = pack_map(PlaneMap(self.PLANES, [2, 3, 1], [0, 1, 1], 2, 3))
         assert blob == piecewise_blob(2, 3, self.PLANES, [2, 3, 1], [0, 1, 1])
         data, mask = unpack_map(blob)
         assert mask is None and data.flags.writeable
-        assert np.array_equal(data, self.PLANES.astype("<f4")[tri_id])
+        assert np.array_equal(data, self.PLANES.astype("<f4")[raster])
 
     def test_one_plane_map_is_one_run(self):
-        blob = pack_map(self.PLANES[:1], tri_id=np.zeros((512, 928), np.int8))
+        blob = pack_map(PlaneMap(self.PLANES[:1], [512 * 928], [0], 512, 928))
         assert len(blob) == _HEADER.size + _COUNTS.size + 16 + 8
 
-    @pytest.mark.parametrize("tri_id", [[[0, 2]], [[-3, 0]], [[0.0, 1.0]], [0, 1]])
-    def test_pack_refuses_bad_ids(self, tri_id):
+    @pytest.mark.parametrize("ids", [[0, 2], [-1, 0], [0.0, 1.0], [[0, 1]]])
+    def test_pack_refuses_bad_ids(self, ids):
         with pytest.raises(ValueError):
-            pack_map(self.PLANES, tri_id=np.array(tri_id))
+            pack_map(PlaneMap(self.PLANES, [1, 1], np.array(ids), 1, 2))
+
+    @pytest.mark.parametrize("lengths,h", [
+        ([1, 2], 1), ([3, -1], 1), ([2], 1), ([1.0, 1.0], 1), ([1, 1], 0)],
+        ids=["short", "negative", "unpaired", "float", "zero-height"])
+    def test_pack_refuses_bad_runs(self, lengths, h):
+        with pytest.raises(ValueError):
+            pack_map(PlaneMap(self.PLANES, np.array(lengths), [0, 1], h, 2))
 
     def test_pack_refuses_a_mask(self):
         with pytest.raises(ValueError):
-            pack_map(self.PLANES, np.ones((1, 2), bool), tri_id=np.zeros((1, 2), int))
+            pack_map(PlaneMap(self.PLANES, [2], [0], 1, 2), np.ones((1, 2), bool))
 
     def test_pack_refuses_more_than_the_cap(self):
-        # A zero-stride raster: nothing of the map's size is allocated.
-        huge = np.broadcast_to(np.int32(0), (2**14, 2**14 + 1))
+        h, w = 2**14, 2**14 + 1
         with pytest.raises(ValueError):
-            pack_map(np.zeros((1, 1)), tri_id=huge)
+            pack_map(PlaneMap(np.zeros((1, 1)), [h * w], [0], h, w))
 
     @pytest.mark.parametrize("blob, message", [
         (piecewise_blob(2, 3, PLANES, [2, 3], [0, 1]), "cover"),
@@ -373,26 +380,31 @@ class TestPiecewiseFormat:
 
     def test_dense_maps_still_load(self, tmp_path):
         # The writer keeps the dense layout for arrays; both decode alike.
-        tri_id = np.array([[1, -1, 0], [0, 0, 1]], np.int32)
-        dense = pack_map(self.PLANES[tri_id])
+        dense = pack_map(self.PLANES[[[1, 1, 0], [0, 0, 1]]])
         (tmp_path / "v1.gpkm").write_bytes(dense)
-        (tmp_path / "v2.gpkm").write_bytes(pack_map(self.PLANES, tri_id=tri_id))
+        runs = PlaneMap(self.PLANES, [2, 3, 1], [1, 0, 1], 2, 3)
+        (tmp_path / "v2.gpkm").write_bytes(pack_map(runs))
         assert dense[4] == 1
         assert np.array_equal(load_denorm_map(tmp_path / "v1.gpkm").data,
                               load_denorm_map(tmp_path / "v2.gpkm").data)
 
 
 @st.composite
-def plane_tables(draw):
-    """(planes, tri_id): an (n, c) table and an (h, w) raster of ids in
-    [-1, n), random, one run, or 1x1."""
+def plane_maps(draw):
+    """(PlaneMap, raster): an (n, c) table, an (h, w) raster of its ids,
+    random, all one id, or 1x1, and runs over the raster that end wherever
+    the id changes and, some of them, where it does not."""
     n, c = draw(st.integers(1, 5)), draw(st.integers(1, 4))
     planes = draw(hnp.arrays(np.float64, (n, c), elements=st.floats(width=32)))
     shape = draw(st.tuples(st.integers(1, 7), st.integers(1, 9)))
-    ids = st.integers(-1, n - 1)
-    tri_id = draw(st.one_of(hnp.arrays(np.int32, shape, elements=ids),
+    ids = st.integers(0, n - 1)
+    raster = draw(st.one_of(hnp.arrays(np.int32, shape, elements=ids),
                             ids.map(lambda i: np.full(shape, i, np.int32))))
-    return planes, tri_id
+    flat = raster.reshape(-1)
+    cuts = draw(st.lists(st.integers(0, flat.size - 1), max_size=flat.size))
+    starts = np.union1d(np.flatnonzero(flat[1:] != flat[:-1]) + 1, [0, *cuts])
+    lengths = np.diff(starts, append=flat.size)
+    return PlaneMap(planes, lengths, flat[starts], *shape), raster
 
 
 @pytest.fixture(scope="module")
@@ -401,13 +413,15 @@ def gpkm_path(tmp_path_factory):
 
 
 class TestPiecewiseProperties:
-    @given(plane_tables())
-    @example((np.array([[1.0, 2.0, 3.0, 4.0]]), np.array([[-1]], np.int32)))
-    @example((np.eye(3, 4), np.array([[2]], np.int32)))
+    @given(plane_maps())
+    @example((PlaneMap(np.array([[1.0, 2.0, 3.0, 4.0]]), [1], [0], 1, 1),
+              np.array([[0]])))
+    @example((PlaneMap(np.eye(3, 4), [1], [2], 1, 1), np.array([[2]])))
     def test_round_trip(self, gpkm_path, table):
-        planes, tri_id = table
-        want = planes.astype("<f4")[tri_id % len(planes)]
-        gpkm_path.write_bytes(pack_map(planes, tri_id=tri_id))
+        m, raster = table
+        planes = m.planes
+        want = planes.astype("<f4")[raster]
+        gpkm_path.write_bytes(pack_map(m))
         data, mask = unpack_map(gpkm_path.read_bytes())
         assert mask is None
         assert data.dtype == np.float32 and data.shape == want.shape
@@ -424,7 +438,7 @@ class TestPiecewiseProperties:
 VALID_BLOBS = [
     pack_map(np.arange(24, dtype=np.float32).reshape(2, 3, 4)),
     pack_map(np.ones((3, 5), dtype=np.float32), np.eye(3, 5, dtype=bool)),
-    pack_map(np.arange(12.0).reshape(3, 4), tri_id=np.array([[2, 2, -1], [0, 1, 1]])),
+    pack_map(PlaneMap(np.arange(12.0).reshape(3, 4), [2, 1, 1, 2], [2, 2, 0, 1], 2, 3)),
 ]
 
 

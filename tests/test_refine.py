@@ -7,6 +7,8 @@ overwrite each triangle's covered pixels in order, so a later triangle wins
 a pixel.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -163,9 +165,9 @@ def test_refine_equals_reference_on_fleets(objects, frames, stride):
         k = frame.rig.intrinsics.scaled(stride)
         h, w = cfg.image_height // stride, cfg.image_width // stride
         boxes = frame.objects.box3d
-        planes, tri_id, stats = refine_map(frame.ground, boxes, k, h, w)
+        refined, stats = refine_map(frame.ground, boxes, k, h, w)
         want, want_stats = reference_refine(frame.ground, boxes, k, h, w)
-        assert np.array_equal(planes[tri_id], want.data)
+        assert np.array_equal(refined.dense(), want.data)
         assert stats == want_stats
 
 
@@ -195,9 +197,9 @@ def refine_like_reference(points):
     boxes = flat_boxes(points)
     k = CameraIntrinsics(fx=62.5, fy=62.5, cx=29.0, cy=16.0)
     g = GroundPlane(0.0, -1.0, 0.0, 6.0)
-    planes, tri_id, stats = refine_map(g, boxes, k, 32, 58)
+    refined, stats = refine_map(g, boxes, k, 32, 58)
     want, want_stats = reference_refine(g, boxes, k, 32, 58)
-    assert np.array_equal(planes[tri_id], want.data)
+    assert np.array_equal(refined.dense(), want.data)
     assert stats == want_stats
     return stats
 
@@ -231,13 +233,12 @@ def test_near_camera_label_is_dropped(z):
     frame = synthesize_scene(SceneConfig(seed=0, n_frames=1))[0]
     k, h, w = frame.map_grid(16)
     boxes = frame.objects.box3d
-    planes, tri_id, stats = refine_map(frame.ground, boxes, k, h, w)
+    refined, stats = refine_map(frame.ground, boxes, k, h, w)
     assert (stats["triangles"], stats["covered_pixels"]) == (68, 687)
     near = np.array([(1.0, 2.0, z, 4.0, 1.8, 0.0, 0.0)], BOX3D_DTYPE)
-    got_planes, got_tri_id, got = refine_map(
-        frame.ground, np.concatenate([boxes, near]), k, h, w)
-    assert np.array_equal(got_planes, planes)
-    assert np.array_equal(got_tri_id, tri_id)
+    got_map, got = refine_map(frame.ground, np.concatenate([boxes, near]), k, h, w)
+    for field in ("planes", "lengths", "ids"):
+        assert np.array_equal(getattr(got_map, field), getattr(refined, field))
     assert got == {**stats, "dropped_points": 1}
 
 
@@ -382,10 +383,35 @@ def point_sets(draw):
     return [tuple(x) for x in line]
 
 
+@given(triangle_sets())
+def test_refined_runs_are_the_raster_runs(triangles):
+    # refine_map's runs over exactly these triangles: its sub-plane fit is
+    # replaced by one returning them, each with a plane of its own. The
+    # written runs must be maximal, since the pinned bytes depend on it.
+    planes = np.arange(4.0 * len(triangles)).reshape(-1, 4)
+    fit = (None, triangles, planes, 0)
+    with mock.patch("gpk.maps._fit_sub_planes", return_value=fit):
+        refined, stats = refine_map(GROUND, flat_boxes([]), K_MAP, H, W)
+    raster = _rasterize(triangles, H, W)
+    table = np.vstack([planes, GROUND.params()])
+    assert np.array_equal(refined.planes, table)
+    assert np.array_equal(refined.dense().view(np.uint64),
+                          table[raster].view(np.uint64))
+    assert (refined.lengths > 0).all()
+    assert (refined.ids[1:] != refined.ids[:-1]).all()
+    assert stats["covered_pixels"] == np.count_nonzero(raster >= 0)
+    # Global plane first, then ascending: np.unique's order on the raster.
+    ids, counts = np.unique(raster, return_counts=True)
+    got_ids, got_counts = refined.pixel_counts()
+    assert np.array_equal(got_ids, ids % len(table))
+    assert got_counts.dtype == np.int64 and np.array_equal(got_counts, counts)
+
+
 @given(point_sets())
 def test_degenerate_point_sets_give_a_finite_map(points):
-    planes, tri_id, stats = refine_map(GROUND, flat_boxes(points), K_MAP, H, W)
-    assert np.isfinite(planes[tri_id]).all()
+    refined, stats = refine_map(GROUND, flat_boxes(points), K_MAP, H, W)
+    dense = refined.dense()
+    assert np.isfinite(dense).all()
     kept = [p for p in points if in_map(p, K_MAP, H, W)]
     assert stats["dropped_points"] == len(points) - len(kept)
     try:
@@ -399,5 +425,5 @@ def test_degenerate_point_sets_give_a_finite_map(points):
         return
     assert stats["triangles"] == len(regions)
     assert stats["degenerate_skipped"] == skipped
-    changed = np.any(planes[tri_id] != GROUND.params(), axis=2)
+    changed = np.any(dense != GROUND.params(), axis=2)
     assert changed.sum() <= stats["covered_pixels"]
