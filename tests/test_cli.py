@@ -706,6 +706,24 @@ class TestLosses:
         total = float(capsys.readouterr().out.strip().split("total: ")[1])
         assert total > 0
 
+    def test_pinned_stdout(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        run(["synth", "--out", str(out), "--seed", "3", "--frames", "2"])
+        argv = ["losses", "--pred", str(out / "label_000000.txt"),
+                "--labels", str(out / "label_000001.txt")]
+        planes = ["--pred-denorm", str(out / "denorm_000000.txt"),
+                  "--denorm", str(out / "denorm_000001.txt")]
+        capsys.readouterr()
+        head = ("classification: 0.000000\nsize2d: 637.678323\n"
+                "center3d: 110.700903\ngiou: 1.791715\nsize3d: 0.464235\n"
+                "angle: 1.651708\ndepth: 142.599391\n")
+        assert run(argv) == 0
+        assert capsys.readouterr().out == (
+            head + "denorm: 0.000000\ntotal: 7078.586512\n")
+        assert run(argv + planes) == 0
+        assert capsys.readouterr().out == (
+            head + "denorm: 0.116783\ntotal: 7078.703295\n")
+
     def test_missing_file_exit_1(self, tmp_path):
         assert run(["losses", "--pred", str(tmp_path / "a.txt"),
                     "--labels", str(tmp_path / "b.txt")]) == 1

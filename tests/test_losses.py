@@ -1,6 +1,7 @@
 """Loss-function tests: hand-computed values, a brute-force integer-grid
 area oracle for GIoU, and central-finite-difference gradient checks."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -255,6 +256,27 @@ class TestFrameLossComponents:
         empty = label_table([], [])
         assert frame_loss_components(empty, empty, 0.5) == {
             **dict.fromkeys(COMPONENT_NAMES, 0.0), "denorm": 0.5}
+
+    def test_pinned_components_and_total(self):
+        # SHA-256 over float.hex of every component and of the total, frame
+        # pair after frame pair. Every 7th category differs in frame 1, and
+        # 300 of the pairs' theta differences wrap past +-pi.
+        frames = synthesize_scene(SceneConfig(seed=71, n_frames=3,
+                                              objects_per_frame=200))
+        frames[1].objects.category[::7] = "Van"
+        digest, wrapped = hashlib.sha256(), 0
+        for pred in frames:
+            for gt in frames:
+                dtheta = pred.objects.box3d.theta - gt.objects.box3d.theta
+                wrapped += int((np.abs(dtheta) > math.pi).sum())
+                comps = frame_loss_components(
+                    pred.objects, gt.objects,
+                    denorm_l1(pred.ground.params(), gt.ground.params()))
+                values = [comps[n] for n in COMPONENT_NAMES] + [total_loss(comps)]
+                digest.update(" ".join(map(float.hex, values)).encode() + b"\n")
+        assert wrapped == 300
+        assert digest.hexdigest() == (
+            "890beca6a5ea6161680c15c04613d28443ac02dfaa283e1303af7360e23a0ba3")
 
     def test_first_degenerate_box_is_named(self):
         # Row 1's label box is degenerate, and so is row 2's prediction.
