@@ -69,7 +69,6 @@ from .geometry import (
     rotation_roll,
 )
 from .losses import (
-    LossWeights,
     angle_loss,
     denorm_l1,
     focal_loss,

@@ -499,20 +499,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-maps", help="write depth/global/refined maps")
     _add_common(p)
     p.add_argument("--jobs", type=int, default=1, help="frame worker threads")
-    p.add_argument("--stride", type=int, choices=(1, 16), default=1)
+    p.add_argument("--stride", type=int, choices=(1, 16), default=1,
+                   help="map size as a fraction of the image: 1 (full "
+                   "resolution, the default) or 16")
     p.set_defaults(func=cmd_gen_maps)
 
     p = sub.add_parser("perturb", help="pose-perturbation overlap study")
     _add_common(p)
     p.add_argument("--sigma", type=float, default=0.3,
                    help="roll/pitch offset std dev, radians, in [0, pi/6)")
-    p.add_argument("--quantity", choices=analysis.QUANTITIES, default=None)
+    p.add_argument("--quantity", choices=analysis.QUANTITIES, default=None,
+                   help="study this quantity only (default: all three, and "
+                   "report the attitude-over-depth ordering)")
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("stats", help="fleet depth/attitude histograms")
     _add_common(p)
-    p.add_argument("--bins", type=int, default=64)
-    p.add_argument("--stride", type=int, choices=(1, 16), default=16)
+    p.add_argument("--bins", type=int, default=64,
+                   help="bins per histogram (>= 1)")
+    p.add_argument("--stride", type=int, choices=(1, 16), default=16,
+                   help="refined-map size as a fraction of the image for the "
+                   "attitude histograms: 16 (the feature stride, the "
+                   "default) or 1")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("synth", help="write synthetic label/calib/denorm files")
@@ -523,12 +531,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("losses", help="evaluate losses between two label files")
     p.add_argument("--pred", required=True, help="predicted label file")
     p.add_argument("--labels", required=True, help="ground-truth label file")
-    p.add_argument("--pred-denorm", default=None)
-    p.add_argument("--denorm", default=None)
+    p.add_argument("--pred-denorm", default=None,
+                   help="predicted ground-plane file; with --denorm, the "
+                   "denorm term is the L1 between the two planes (else 0)")
+    p.add_argument("--denorm", default=None,
+                   help="ground-truth ground-plane file (needs --pred-denorm)")
     p.set_defaults(func=cmd_losses)
 
     p = sub.add_parser("check-attn", help="run attention invariant suite")
-    p.add_argument("--seed", type=_parse_seed, default=None)
+    p.add_argument("--seed", type=_parse_seed, default=None,
+                   help="seed of the random inputs and fixture (>= 0, "
+                   "default 0)")
     p.add_argument("--out", default=None,
                    help="optional directory for the JSON fixture")
     p.set_defaults(func=cmd_check_attn)

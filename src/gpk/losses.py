@@ -6,7 +6,6 @@ plane-equation arrays."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,10 +52,11 @@ def focal_loss(
     return loss, dp
 
 
-def l1_loss(pred: float, target: float) -> tuple[float, float]:
-    """|pred - target| and its (sub)gradient w.r.t. pred (0 at the kink)."""
-    diff = float(pred) - float(target)
-    return abs(diff), float(np.sign(diff))
+def l1_loss(pred, target):
+    """|pred - target| and its (sub)gradient w.r.t. pred (0 at the kink),
+    elementwise over broadcastable arrays or scalars."""
+    diff = np.subtract(pred, target, dtype=float)
+    return np.abs(diff), np.sign(diff)
 
 
 def denorm_l1(pred, label) -> float:
@@ -68,15 +68,22 @@ def denorm_l1(pred, label) -> float:
     return float(np.mean(np.abs(pred - label)))
 
 
-def angle_loss(pred: float, target: float) -> tuple[float, float]:
-    """L1 on the wrapped angular difference, representative in (-pi, pi].
+def angle_loss(pred, target):
+    """L1 on the wrapped angular difference, representative in [-pi, pi],
+    elementwise over broadcastable arrays or scalars.
 
-    The gradient w.r.t. pred is the sign of the wrapped difference
-    (0 at coincidence).
+    The wrap is math.remainder(diff, 2 pi) exactly: fmod is exact, and so
+    is taking 2 pi off a remainder past +-pi; a tie at +-pi goes to the
+    even multiple of 2 pi, so it wraps where fmod(diff, 2 pi) truncated
+    an odd one. The gradient w.r.t. pred
+    is the sign of the wrapped difference (0 at coincidence).
     """
-    diff = float(pred) - float(target)
-    wrapped = math.remainder(diff, 2.0 * math.pi)  # (-pi, pi]
-    return abs(wrapped), float(np.sign(wrapped))
+    diff = np.subtract(pred, target, dtype=float)
+    r = np.fmod(diff, 2.0 * math.pi)
+    odd = np.abs(np.fmod(diff, 4.0 * math.pi)) >= 2.0 * math.pi
+    past = (np.abs(r) > math.pi) | ((np.abs(r) == math.pi) & odd)
+    wrapped = np.where(past, r - np.copysign(2.0 * math.pi, r), r)
+    return np.abs(wrapped), np.sign(wrapped)
 
 
 def giou_loss_2d(box_a, box_b):
@@ -104,89 +111,64 @@ def giou_loss_2d(box_a, box_b):
     return 1.0 - giou
 
 
-def laplace_depth_loss(
-    d_pre: float, d_gt: float, sigma: float
-) -> tuple[float, float, float]:
-    """(2/sigma)|d_gt - d_pre| + log(sigma) with analytic gradients.
+def laplace_depth_loss(d_pre, d_gt, sigma):
+    """(2/sigma)|d_gt - d_pre| + log(sigma) with analytic gradients,
+    elementwise over broadcastable arrays or scalars.
 
     Returns (loss, d loss / d d_pre, d loss / d sigma). For fixed nonzero
     error the loss is minimized in sigma at sigma = 2|d_gt - d_pre|.
     """
-    sigma = float(sigma)
-    if sigma <= 0 or not math.isfinite(sigma):
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    diff = float(d_pre) - float(d_gt)
-    loss = (2.0 / sigma) * abs(diff) + math.log(sigma)
-    grad_d = (2.0 / sigma) * float(np.sign(diff))
-    grad_sigma = -(2.0 / sigma**2) * abs(diff) + 1.0 / sigma
+    sigma = np.asarray(sigma, dtype=float)
+    bad = ~(np.isfinite(sigma) & (sigma > 0))
+    if bad.any():
+        raise DomainError(f"sigma must be positive, got {sigma[bad].flat[0]}")
+    diff = np.subtract(d_pre, d_gt, dtype=float)
+    loss = (2.0 / sigma) * np.abs(diff) + np.log(sigma)
+    grad_d = (2.0 / sigma) * np.sign(diff)
+    grad_sigma = -(2.0 / sigma**2) * np.abs(diff) + 1.0 / sigma
     return loss, grad_d, grad_sigma
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights for (classification, 2D size, 3D center, GIoU, 3D size,
-    angle, depth, denorm) in that order."""
-
-    w1: float = 2.0
-    w2: float = 10.0
-    w3: float = 5.0
-    w4: float = 2.0
-    w5: float = 1.0
-    w6: float = 1.0
-    w7: float = 1.0
-    w8: float = 1.0
-
-    def __post_init__(self):
-        for w in self.as_tuple():
-            if not (math.isfinite(w) and w >= 0):
-                raise DomainError(f"weights must be finite and >= 0, got {w}")
-
-    def as_tuple(self) -> tuple:
-        return (self.w1, self.w2, self.w3, self.w4,
-                self.w5, self.w6, self.w7, self.w8)
+# The weight of each component in total_loss.
+WEIGHTS = dict(zip(COMPONENT_NAMES, (2.0, 10.0, 5.0, 2.0, 1.0, 1.0, 1.0, 1.0)))
 
 
-def total_loss(components, weights: LossWeights = LossWeights()) -> float:
-    """Weighted sum over the eight loss components.
-
-    `components` is a sequence of eight scalars ordered as in LossWeights,
-    or a mapping keyed by COMPONENT_NAMES.
-    """
-    if isinstance(components, dict):
-        missing = [n for n in COMPONENT_NAMES if n not in components]
-        if missing:
-            raise DomainError(f"missing loss components: {missing}")
-        values = [float(components[n]) for n in COMPONENT_NAMES]
-    else:
-        values = [float(v) for v in components]
-        if len(values) != len(COMPONENT_NAMES):
-            raise DomainError(
-                f"expected {len(COMPONENT_NAMES)} components, got {len(values)}"
-            )
-    if not all(math.isfinite(v) for v in values):
-        raise DomainError("loss components must be finite")
-    return float(sum(w * v for w, v in zip(weights.as_tuple(), values)))
+def total_loss(components) -> float:
+    """WEIGHTS-weighted sum of a {name: value} mapping of the components,
+    as frame_loss_components returns it. A non-finite component is an
+    error that names it."""
+    missing = [n for n in COMPONENT_NAMES if n not in components]
+    if missing:
+        raise DomainError(f"missing loss components: {missing}")
+    values = {n: float(components[n]) for n in COMPONENT_NAMES}
+    bad = [n for n, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise DomainError(f"loss components must be finite: {', '.join(bad)}")
+    return float(sum(WEIGHTS[n] * v for n, v in values.items()))
 
 
-def frame_loss_components(pred, gt, denorm_l1: float) -> dict:
+def frame_loss_components(pred, gt, plane_l1: float) -> dict:
     """Per-object mean of each loss component between two label tables
-    (objects matched by row), plus the given denorm L1."""
+    (objects matched by row), plus the given plane L1 as "denorm". A
+    component that overflows comes out inf or nan, without a numpy
+    warning, for total_loss to name."""
     if len(pred) != len(gt):
         raise ParseError(
             f"prediction/label object counts differ: {len(pred)} vs {len(gt)}"
         )
     p, g = pred.box3d, gt.box3d
-    per_object = {
-        "classification": pred.category != gt.category,
-        "size2d": sum(np.abs(pred.box2d - gt.box2d).T),
-        "center3d": abs(p.x - g.x) + abs(p.y - g.y) + abs(p.z - g.z),
-        "giou": giou_loss_2d(pred.box2d, gt.box2d),
-        "size3d": abs(p.l - g.l) + abs(p.w - g.w) + abs(p.h - g.h),
-        "angle": [angle_loss(a, b)[0] for a, b in zip(p.theta.tolist(),
-                                                      g.theta.tolist())],
-        "depth": 2.0 * abs(p.z - g.z),  # laplace_depth_loss at sigma = 1
-    }
-    comps = {key: float(np.mean(values)) if len(pred) else 0.0
-             for key, values in per_object.items()}
-    comps["denorm"] = denorm_l1
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_object = {
+            # Label files carry no class score: the category-mismatch rate.
+            "classification": pred.category != gt.category,
+            "size2d": sum(l1_loss(pred.box2d, gt.box2d)[0].T),
+            "center3d": sum(l1_loss(p[f], g[f])[0] for f in ("x", "y", "z")),
+            "giou": giou_loss_2d(pred.box2d, gt.box2d),
+            "size3d": sum(l1_loss(p[f], g[f])[0] for f in ("l", "w", "h")),
+            "angle": angle_loss(p.theta, g.theta)[0],
+            "depth": laplace_depth_loss(p.z, g.z, 1.0)[0],
+        }
+        comps = {key: float(np.mean(values)) if len(pred) else 0.0
+                 for key, values in per_object.items()}
+    comps["denorm"] = plane_l1
     return comps

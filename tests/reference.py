@@ -1,6 +1,7 @@
-"""Scalar reference forms of the geometry kernels, written out for one point,
-pixel or triple at a time with Python floats, in the operation order of the
-array paths, so that tests can compare those paths with them bit for bit."""
+"""Scalar reference forms of the geometry kernels and the losses, written out
+for one point, pixel, triple or object at a time with Python floats, in the
+operation order of the array paths, so that tests can compare those paths
+with them bit for bit."""
 
 import math
 
@@ -57,3 +58,30 @@ def plane_through(p1, p2, p3):
         return GroundPlane.from_raw(a, b, c, d)
     except DegeneratePlane:
         return None
+
+
+def _sign(x):
+    """-1.0, 0.0 or 1.0: np.sign of a float, which gives 0.0 for -0.0."""
+    return float((x > 0) - (x < 0))
+
+
+def l1(pred, target):
+    """(|pred - target|, its gradient w.r.t. pred) for one pair."""
+    diff = float(pred) - float(target)
+    return abs(diff), _sign(diff)
+
+
+def laplace(d_pre, d_gt, sigma):
+    """(loss, d/d d_pre, d/d sigma) of (2/sigma)|d_pre - d_gt| + log(sigma)
+    for one object."""
+    diff, sigma = float(d_pre) - float(d_gt), float(sigma)
+    return ((2.0 / sigma) * abs(diff) + math.log(sigma),
+            (2.0 / sigma) * _sign(diff),
+            -(2.0 / sigma**2) * abs(diff) + 1.0 / sigma)
+
+
+def angle(pred, target):
+    """(|wrapped difference|, its sign) for one pair of angles, wrapped to
+    [-pi, pi] by math.remainder."""
+    wrapped = math.remainder(float(pred) - float(target), 2.0 * math.pi)
+    return abs(wrapped), _sign(wrapped)

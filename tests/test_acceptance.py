@@ -52,8 +52,8 @@ from gpk.geometry import (
     plane_to_attitude,
     project_points,
 )
-from gpk.losses import (denorm_l1, focal_loss, l1_loss, laplace_depth_loss,
-                        total_loss)
+from gpk.losses import (COMPONENT_NAMES, denorm_l1, focal_loss, l1_loss,
+                        laplace_depth_loss, total_loss)
 from gpk.mapfile import load_denorm_map, load_depth_map, pack_map
 from gpk.maps import (
     DenormMap,
@@ -371,7 +371,7 @@ def test_10_loss_gradients_and_total():
             focal_loss(p + step, target)[0] - focal_loss(p - step, target)[0]
         ) / (2 * step)
         worst = max(worst, abs(gf - num_f) / max(abs(num_f), 1e-12))
-    exact = total_loss([1.0] * 8)
+    exact = total_loss(dict.fromkeys(COMPONENT_NAMES, 1.0))
     ok = worst < 1e-4 and exact == 23.0
     report(10, "loss gradients match finite differences; unit total = 23",
            ok, f"worst rel err {worst:.2e}, total {exact}")

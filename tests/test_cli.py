@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, file outputs, manifests, and
 byte-reproducibility across seeds and job counts."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -18,12 +19,14 @@ from gpk.cli import (_frames_from_args, _load_real_frame, _perturbation_pairs,
 from gpk.dataio import (
     CameraRig,
     SceneConfig,
+    parse_ground_plane,
     parse_labels,
     serialize_calibration,
     serialize_labels,
     synthesize_scene,
 )
 from gpk.geometry import CameraIntrinsics
+from gpk.losses import COMPONENT_NAMES, WEIGHTS, denorm_l1
 from gpk.mapfile import load_denorm_map, unpack_map
 from gpk.maps import refine_map
 
@@ -724,6 +727,52 @@ class TestLosses:
         assert capsys.readouterr().out == (
             head + "denorm: 0.116783\ntotal: 7078.703295\n")
 
+    def test_plane_l1_enters_total_at_weight_one(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        run(["synth", "--out", str(out), "--seed", "3", "--frames", "2"])
+        argv = ["losses", "--pred", str(out / "label_000000.txt"),
+                "--labels", str(out / "label_000001.txt")]
+        capsys.readouterr()
+        printed = []
+        for extra in ([], ["--pred-denorm", str(out / "denorm_000000.txt"),
+                           "--denorm", str(out / "denorm_000001.txt")]):
+            assert run(argv + extra) == 0
+            printed.append(dict(line.split(": ") for line in
+                                capsys.readouterr().out.splitlines()))
+        without, with_planes = printed
+        want = denorm_l1(*(parse_ground_plane((out / f).read_text()).params()
+                           for f in ("denorm_000000.txt", "denorm_000001.txt")))
+        assert want > 0 and WEIGHTS["denorm"] == 1.0
+        assert with_planes["denorm"] == f"{want:.6f}"
+        assert float(with_planes["total"]) - float(without["total"]) == (
+            pytest.approx(want, abs=1.5e-6))
+        assert all(with_planes[n] == without[n] for n in COMPONENT_NAMES[:-1])
+
+    @pytest.mark.parametrize("flag", ["--pred-denorm", "--denorm"])
+    def test_one_plane_flag_alone_exit_1(self, tmp_path, capsys, flag):
+        out = tmp_path / "d"
+        run(["synth", "--out", str(out), "--seed", "3", "--frames", "1"])
+        label = str(out / "label_000000.txt")
+        capsys.readouterr()
+        assert run(["losses", "--pred", label, "--labels", label,
+                    flag, str(out / "denorm_000000.txt")]) == 1
+        assert capsys.readouterr().err == (
+            "error: need both --pred-denorm and --denorm\n")
+
+    @pytest.mark.parametrize("field, pred, labels, bad", [
+        ("10 20 30 40", "0 0 1e200 1e200", "10 20 30 40", "giou"),  # areas overflow
+        ("2 4.5", "1e308 4.5", "-1e308 4.5", "center3d"),  # x - x overflows
+    ])
+    def test_non_finite_component_named(self, tmp_path, capsys, field, pred,
+                                        labels, bad):
+        line = "Car 0 0 0 10 20 30 40 1.5 1.8 4.2 2 4.5 55 0.25\n"
+        (tmp_path / "pred.txt").write_text(line.replace(field, pred))
+        (tmp_path / "labels.txt").write_text(line.replace(field, labels))
+        assert run(["losses", "--pred", str(tmp_path / "pred.txt"),
+                    "--labels", str(tmp_path / "labels.txt")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: loss components must be finite: {bad}\n")
+
     def test_missing_file_exit_1(self, tmp_path):
         assert run(["losses", "--pred", str(tmp_path / "a.txt"),
                     "--labels", str(tmp_path / "b.txt")]) == 1
@@ -750,6 +799,17 @@ class TestLosses:
         assert capsys.readouterr().err == (
             f"error: line 3: 2D box needs right > left, bottom > top "
             f"in {files[bad]}\n")
+
+
+def test_every_option_has_help():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    missing = [f"{command} {action.option_strings[0]}"
+               for command, sub in subparsers.choices.items()
+               for action in sub._actions
+               if action.option_strings and "-h" not in action.option_strings
+               and not action.help]
+    assert missing == []
 
 
 class TestCheckAttn:

@@ -6,12 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import reference
 from gpk.dataio import SceneConfig, label_table, synthesize_scene
 from gpk.errors import DomainError
 from gpk.losses import (
     COMPONENT_NAMES,
-    LossWeights,
+    WEIGHTS,
     angle_loss,
     denorm_l1,
     focal_loss,
@@ -112,6 +115,64 @@ class TestL1AndAngle:
             assert angle_loss(a, b)[0] <= math.pi + 1e-12
 
 
+# Multiples of pi, where the wrap changes, and their float neighbours; signed
+# zeros; and a difference far past any wrap.
+WRAP_EXAMPLES = [
+    x for k in range(-4, 5)
+    for x in (math.nextafter(k * math.pi, -math.inf), k * math.pi,
+              math.nextafter(k * math.pi, math.inf))
+] + [-0.0, 1e300]
+ANGLES = st.floats(-1e300, 1e300)
+
+
+class TestArrayForms:
+    """Each loss over arrays equals its calls on one element at a time, and
+    those equal the Python-float oracles in reference.py."""
+
+    @given(st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=30))
+    @example([(x, 0.0) for x in WRAP_EXAMPLES])
+    @example([(0.0, x) for x in WRAP_EXAMPLES])
+    def test_angle_equals_remainder_oracle(self, pairs):
+        pred, target = np.array(pairs).T
+        loss, grad = angle_loss(pred, target)
+        got = [(a.hex(), b.hex()) for a, b in zip(loss.tolist(), grad.tolist())]
+        want = [(a.hex(), b.hex())
+                for a, b in (reference.angle(p, t) for p, t in pairs)]
+        assert got == want
+
+    def test_l1_bitwise(self):
+        rng = np.random.default_rng(5)
+        pred, target = rng.uniform(-50, 50, (2, 500))
+        target[::10] = pred[::10]  # the kink
+        pairs = list(zip(pred.tolist(), target.tolist()))
+        got = np.column_stack(l1_loss(pred, target))
+        per_element = np.array([l1_loss(a, b) for a, b in pairs])
+        oracle = np.array([reference.l1(a, b) for a, b in pairs])
+        assert got.tobytes() == per_element.tobytes() == oracle.tobytes()
+
+    def test_laplace_within_one_ulp(self):
+        # np.log and math.log may differ in the last bit; the gradients
+        # take no log.
+        rng = np.random.default_rng(6)
+        d_gt = rng.uniform(5, 200, 500)
+        d_pre = d_gt + rng.uniform(-25, 25, 500)
+        d_pre[::10] = d_gt[::10]
+        sigma = rng.uniform(0.2, 12, 500)
+        rows = list(zip(d_pre.tolist(), d_gt.tolist(), sigma.tolist()))
+        got = np.column_stack(laplace_depth_loss(d_pre, d_gt, sigma))
+        per_element = np.array([laplace_depth_loss(*row) for row in rows])
+        oracle = np.array([reference.laplace(*row) for row in rows])
+        for want in (per_element, oracle):
+            np.testing.assert_array_max_ulp(got[:, 0], want[:, 0], maxulp=1)
+            assert got[:, 1:].tobytes() == want[:, 1:].tobytes()
+
+    def test_broadcasts(self):
+        loss, grad = l1_loss(np.arange(3.0)[:, None], np.arange(2.0))
+        assert loss.shape == grad.shape == (3, 2)
+        loss, grad_d, grad_s = laplace_depth_loss(5.0, np.arange(4.0), [[1.0], [2.0]])
+        assert loss.shape == grad_d.shape == grad_s.shape == (2, 4)
+
+
 class TestGiou:
     def test_identical_boxes_zero(self):
         assert giou_loss_2d((0, 0, 4, 4), (0, 0, 4, 4)) == 0.0
@@ -154,6 +215,8 @@ class TestLaplaceDepth:
     def test_sigma_domain(self):
         with pytest.raises(DomainError):
             laplace_depth_loss(1.0, 1.0, 0.0)
+        with pytest.raises(DomainError, match=r"got -2\.0$"):  # the first bad one
+            laplace_depth_loss(1.0, 1.0, [1.0, -2.0, 0.0])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -183,58 +246,69 @@ class TestLaplaceDepth:
         )
 
 
+def unit_components(**values):
+    return {**dict.fromkeys(COMPONENT_NAMES, 1.0), **values}
+
+
+MIXED = dict(zip(COMPONENT_NAMES, (0.5, 1.0, 0.25, 2.0, 1.5, 0.1, 3.0, 0.7)))
+
+
 class TestTotal:
-    def test_default_weights(self):
-        assert LossWeights().as_tuple() == (2, 10, 5, 2, 1, 1, 1, 1)
+    def test_weights_table(self):
+        assert tuple(WEIGHTS) == COMPONENT_NAMES
+        assert tuple(WEIGHTS.values()) == (2, 10, 5, 2, 1, 1, 1, 1)
 
     def test_all_zero(self):
-        assert total_loss([0.0] * 8) == 0.0
+        assert total_loss(dict.fromkeys(COMPONENT_NAMES, 0.0)) == 0.0
 
     def test_unit_components_default_weights(self):
-        assert total_loss([1.0] * 8) == 23.0
+        assert total_loss(unit_components()) == 23.0
 
     def test_dict_components(self):
-        comps = dict.fromkeys(COMPONENT_NAMES, 1.0)
-        assert total_loss(comps) == 23.0
+        # 2(0.5) + 10(1.0) + 5(0.25) + 2(2.0) + 1.5 + 0.1 + 3.0 + 0.7
+        assert total_loss(MIXED) == pytest.approx(21.55, abs=1e-12)
 
     def test_linearity(self):
-        base = [0.5, 1.0, 0.25, 2.0, 1.5, 0.1, 3.0, 0.7]
-        bumped = list(base)
-        bumped[2] *= 2.0
-        assert total_loss(bumped) - total_loss(base) == pytest.approx(
-            5.0 * base[2], abs=1e-12
+        bumped = {**MIXED, "center3d": 2.0 * MIXED["center3d"]}
+        assert total_loss(bumped) - total_loss(MIXED) == pytest.approx(
+            5.0 * MIXED["center3d"], abs=1e-12
         )
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(DomainError):
-            LossWeights(w1=-1.0)
+    def test_missing_component_named(self):
+        comps = unit_components()
+        del comps["angle"]
+        with pytest.raises(DomainError, match=r"missing loss components: \['angle'\]"):
+            total_loss(comps)
 
-    def test_wrong_component_count(self):
-        with pytest.raises(DomainError):
-            total_loss([1.0] * 7)
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_components_named(self, bad):
+        with pytest.raises(DomainError,
+                           match="loss components must be finite: giou, depth$"):
+            total_loss(unit_components(giou=bad, depth=bad))
 
 
-def reference_frame_loss_components(pred, gt, denorm_l1):
-    """The per-object loop that frame_loss_components replaced: running sums
-    over the rows, then the mean."""
+def reference_frame_loss_components(pred, gt, plane_l1):
+    """A per-object loop over the scalar oracles: running sums over the
+    rows, then the mean."""
     comps = dict.fromkeys(COMPONENT_NAMES, 0.0)
     for p, g in zip(pred, gt):
         comps["classification"] += 0.0 if p.category == g.category else 1.0
-        comps["size2d"] += sum(l1_loss(a, b)[0] for a, b in zip(p.box2d, g.box2d))
+        comps["size2d"] += sum(reference.l1(a, b)[0]
+                               for a, b in zip(p.box2d, g.box2d))
         comps["center3d"] += sum(
-            l1_loss(a, b)[0]
+            reference.l1(a, b)[0]
             for a, b in zip((p.box3d.x, p.box3d.y, p.box3d.z),
                             (g.box3d.x, g.box3d.y, g.box3d.z)))
         comps["giou"] += giou_loss_2d(p.box2d, g.box2d)
         comps["size3d"] += sum(
-            l1_loss(a, b)[0]
+            reference.l1(a, b)[0]
             for a, b in zip((p.box3d.l, p.box3d.w, p.box3d.h),
                             (g.box3d.l, g.box3d.w, g.box3d.h)))
-        comps["angle"] += angle_loss(p.box3d.theta, g.box3d.theta)[0]
-        comps["depth"] += laplace_depth_loss(p.box3d.z, g.box3d.z, 1.0)[0]
+        comps["angle"] += reference.angle(p.box3d.theta, g.box3d.theta)[0]
+        comps["depth"] += reference.laplace(p.box3d.z, g.box3d.z, 1.0)[0]
     for key in comps:
         comps[key] /= max(len(pred), 1)
-    comps["denorm"] = denorm_l1
+    comps["denorm"] = plane_l1
     return comps
 
 
