@@ -42,7 +42,7 @@ def pack_map(data, mask: np.ndarray | None = None) -> bytes:
         if mask is not None:
             raise ValueError("a piecewise map has no mask")
         return _pack_piecewise(data)
-    data = np.asarray(data, dtype="<f4")
+    data = np.ascontiguousarray(data, dtype="<f4")
     if data.ndim == 2:
         data = data[:, :, None]
     if data.ndim != 3:
@@ -51,12 +51,12 @@ def pack_map(data, mask: np.ndarray | None = None) -> bytes:
         raise ValueError(f"empty map {data.shape}")
     h, w, c = data.shape
     parts = [_HEADER.pack(MAGIC, VERSION, h, w, c, 1 if mask is not None else 0)]
-    parts.append(data.tobytes(order="C"))
+    parts.append(data)  # joined from its buffer: no copy before the join
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (h, w):
             raise ValueError("mask shape must match map dimensions")
-        parts.append(np.packbits(mask.reshape(-1)).tobytes())
+        parts.append(np.packbits(mask.reshape(-1)))
     return b"".join(parts)
 
 

@@ -3,12 +3,12 @@
 The refined map follows the annotation-driven pipeline: collect the bottom
 centers of the 3D boxes, Delaunay-triangulate their image projections, and
 fit a plane to each triangle's generating 3D points, all triangles at once.
-One scanline rasterizer then writes a triangle-id raster with a
-pixel-center / top-left fill rule; where two triangles claim a pixel, the
-higher triangle index wins. The map stays piecewise planar: refine_map
-returns it as a PlaneMap, the plane table (sub-planes, then the global
-plane) and the raster's row-major runs, a pixel no triangle owns taking
-the global plane.
+One scanline rasterizer then gives the row-major runs of triangle ids,
+with a pixel-center / top-left fill rule; where two triangles claim a
+pixel, the higher triangle index wins. The map stays piecewise planar:
+refine_map returns it as a PlaneMap, the plane table (sub-planes, then the
+global plane) and those runs, a pixel no triangle owns taking the global
+plane.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from .geometry import (CameraIntrinsics, GroundPlane, bottom_centers,
 class GroundDepthMap:
     """Per-pixel ray-ground depth with a validity mask."""
 
-    depth: np.ndarray  # (h, w) float64, meters; 0 where invalid
+    depth: np.ndarray  # (h, w) meters, 0 where invalid; float32 from
+    # build_ground_depth_map (as the file stores it), float64 from load_depth_map
     valid: np.ndarray  # (h, w) bool
 
 
@@ -94,12 +95,17 @@ def _signed_area2(px: np.ndarray):
 def build_ground_depth_map(
     k: CameraIntrinsics, g: GroundPlane, h: int, w: int
 ) -> GroundDepthMap:
-    """geometry.ground_depths at every pixel center (col + 0.5, row + 0.5):
-    horizon and behind-camera pixels become mask entries, not errors."""
+    """geometry.ground_depths at every pixel center (col + 0.5, row + 0.5),
+    rounded to float32: horizon and behind-camera pixels become mask
+    entries, not errors. Built 32 rows at a time, so the kernel's float64
+    temporaries stay small."""
     if h <= 0 or w <= 0:
         raise DimensionMismatch("map dimensions must be positive")
-    return GroundDepthMap(*ground_depths(np.arange(w) + 0.5,
-                                         (np.arange(h) + 0.5)[:, None], k, g))
+    m = GroundDepthMap(np.empty((h, w), np.float32), np.empty((h, w), bool))
+    u, v = np.arange(w) + 0.5, (np.arange(h) + 0.5)[:, None]
+    for r in range(0, h, 32):
+        m.depth[r:r + 32], m.valid[r:r + 32] = ground_depths(u, v[r:r + 32], k, g)
+    return m
 
 
 def build_global_denorm_map(g_initial: GroundPlane, h: int, w: int) -> DenormMap:
@@ -217,8 +223,9 @@ def _settle(bound, step, outer, empty, holds):
     return bound
 
 
-def _rasterize(pixels, h: int, w: int) -> np.ndarray:
-    """(h, w) int32 raster of the triangle owning each pixel center, or -1.
+def _rasterize(pixels, h: int, w: int):
+    """Row-major runs (lengths, ids) of the triangle owning each pixel
+    center of the h x w grid, or -1: maximal runs, covering h * w pixels.
 
     `pixels` holds (T, 3, 2) image-space vertices (u, v). A pixel center
     (col + 0.5, row + 0.5) belongs to a triangle iff it passes the three
@@ -231,7 +238,9 @@ def _rasterize(pixels, h: int, w: int) -> np.ndarray:
     Scanline form: an edge function is monotone along a row, so each
     (triangle, row) owns one column interval. Each edge's end of it is
     estimated from where the edge crosses the row, then moved until the
-    exact edge test agrees on both sides of it.
+    exact edge test agrees on both sides of it. The intervals' ends cut the
+    row-major pixel order into segments, each owned by the highest triangle
+    whose interval covers it; equal neighbours then merge into runs.
     """
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 3, 2)
     area = _signed_area2(pixels)
@@ -279,22 +288,24 @@ def _rasterize(pixels, h: int, w: int) -> np.ndarray:
         start[sel[~up]] = np.maximum(start[sel[~up]], bound[~up])
 
     owned = start <= stop
-    n_cols = (stop - start + 1)[owned]
-    tri_id = np.full(h * w, -1, dtype=np.int32)
-    np.maximum.at(tri_id, _runs(row[owned] * w + start[owned], n_cols),
-                  np.repeat(tri[owned], n_cols))
-    return tri_id.reshape(h, w)
+    p0, p1 = row[owned] * w + start[owned], row[owned] * w + stop[owned] + 1
+    cuts = np.sort(np.concatenate(([0, h * w], p0, p1)))
+    cuts = cuts[np.diff(cuts, prepend=-1) != 0]
+    s0, s1 = np.searchsorted(cuts, p0), np.searchsorted(cuts, p1)
+    owner = np.full(len(cuts) - 1, -1, dtype=np.int32)
+    np.maximum.at(owner, _runs(s0, s1 - s0), np.repeat(tri[owned], s1 - s0))
+    first = np.flatnonzero(np.diff(owner, prepend=-2) != 0)
+    return np.diff(cuts[first], append=h * w), owner[first]
 
 
 def refine_map(g_initial: GroundPlane, boxes, k: CameraIntrinsics, h: int, w: int):
     """(PlaneMap, stats) of the refined map.
 
     The map's planes are the (T + 1, 4) table of the T fitted sub-planes
-    followed by the global plane; its runs are the maximal runs of the
-    rasterized sub-plane ids, a pixel no sub-plane owns taking the global
-    plane. `stats` counts {'dropped_points',
-    'insufficient_points', 'degenerate_skipped', 'triangles',
-    'covered_pixels'}. `boxes` is a label table's box3d column. Bottom
+    followed by the global plane; its runs are the rasterizer's runs of
+    sub-plane ids, a pixel no sub-plane owns taking the global plane.
+    `stats` counts {'dropped_points', 'insufficient_points',
+    'degenerate_skipped', 'triangles', 'covered_pixels'}. `boxes` is a label table's box3d column. Bottom
     centers behind the camera, or whose pixel is not finite or lies beyond
     the map by more than its size, are dropped. With fewer than three
     usable bottom centers no pixel is covered.
@@ -313,10 +324,7 @@ def refine_map(g_initial: GroundPlane, boxes, k: CameraIntrinsics, h: int, w: in
         stats["insufficient_points"] = 1
     except AllDegenerate:
         stats["degenerate_skipped"] = len(usable)
-    tri_id = _rasterize(pixels, h, w).reshape(-1)
-    starts = np.flatnonzero(tri_id[1:] != tri_id[:-1]) + 1
-    ids = tri_id[np.concatenate(([0], starts))]
-    lengths = np.diff(starts, prepend=0, append=tri_id.size)
+    lengths, ids = _rasterize(pixels, h, w)
     stats["triangles"] = len(planes)
     stats["covered_pixels"] = int(lengths[ids >= 0].sum())
     planes = np.vstack([planes, g_initial.params()])

@@ -1,7 +1,8 @@
 """Scalar reference forms of the geometry kernels and the losses, written out
 for one point, pixel, triple or object at a time with Python floats, in the
 operation order of the array paths, so that tests can compare those paths
-with them bit for bit."""
+with them bit for bit; and expand_runs, the raster that the rasterizer's
+runs stand for, which the pixel oracles compare with."""
 
 import math
 
@@ -9,6 +10,15 @@ import numpy as np
 
 from gpk.errors import DegeneratePlane
 from gpk.geometry import GroundPlane
+
+
+def expand_runs(runs, h, w) -> np.ndarray:
+    """The (h, w) raster of row-major runs (lengths, ids), after checking
+    that they are maximal and cover the grid."""
+    lengths, ids = runs
+    assert (lengths > 0).all() and (ids[1:] != ids[:-1]).all()
+    assert lengths.sum() == h * w
+    return np.repeat(ids, lengths).reshape(h, w)
 
 
 def project(p, k):

@@ -204,7 +204,8 @@ def test_04_rasterization_oracle():
             tri = TriangleRegion(pixels=verts, plane=tri_plane, points3d=pts3d)
         except CollinearPoints:
             continue
-        got = _rasterize(tri.pixels[None], 128, 128) == 0
+        lengths, ids = _rasterize(tri.pixels[None], 128, 128)
+        got = np.repeat(ids, lengths).reshape(128, 128) == 0
         want = edge_oracle(verts, 128, 128)
         discrepancies += int(np.count_nonzero(got != want))
         tested += 1

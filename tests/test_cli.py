@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ import scipy
 
 import gpk
 from gpk import analysis
-from gpk.cli import (_frames_from_args, _load_real_frame, _perturbation_pairs,
-                     build_parser, main)
+from gpk.cli import (_frames_from_args, _load_real_frame, _map_blobs,
+                     _perturbation_pairs, build_parser, main)
 from gpk.dataio import (
     CameraRig,
     SceneConfig,
@@ -162,6 +163,22 @@ class TestGenMaps:
         header = (out / "report.csv").read_text().split("\n")[0]
         assert header == ("frame_id,refined_vs_global_l1,insufficient_points,"
                           "degenerate_skipped")
+
+    def test_full_resolution_maps_build_no_full_resolution_temporary(self):
+        # One 512x928 frame's maps, traced after a warm-up call. The float32
+        # depth map, its mask and its packed file are ~9 bytes a pixel;
+        # float64 or int32 (h, w) temporaries took the peak to ~25.
+        frame = synthesize_scene(SceneConfig(seed=5))[0]
+        _, h, w = frame.map_grid(1)
+        assert (h, w) == (512, 928)
+        _map_blobs(frame, 1)
+        tracemalloc.start()
+        try:
+            _map_blobs(frame, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * h * w
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exit_1(self, tmp_path, capsys, jobs):

@@ -20,6 +20,7 @@ from gpk.geometry import (
     GroundPlane,
     attitude_to_plane,
     bottom_centers,
+    ground_depths,
     project_points,
 )
 from gpk.losses import denorm_l1
@@ -43,7 +44,7 @@ from gpk.maps import (
     refine_map,
     triangulate_ground_points,
 )
-from reference import ground_depth, plane_through
+from reference import expand_runs, ground_depth, plane_through
 
 K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=464.0, cy=256.0)
 FLAT = GroundPlane(0.0, -1.0, 0.0, 6.0)
@@ -76,7 +77,7 @@ def barycentric_oracle(verts: np.ndarray, h: int, w: int) -> np.ndarray:
 
 def covered_mask(pixels, h: int, w: int) -> np.ndarray:
     """The pixels the rasterizer gives one triangle, as an (h, w) bool map."""
-    return _rasterize(np.asarray(pixels, float)[None], h, w) == 0
+    return expand_runs(_rasterize(np.asarray(pixels, float)[None], h, w), h, w) == 0
 
 
 def make_region(pixels) -> TriangleRegion:
@@ -91,15 +92,44 @@ def make_region(pixels) -> TriangleRegion:
 
 class TestDepthMap:
     def test_matches_per_pixel_closed_form(self):
-        # The map is geometry.ground_depths at pixel centres: bit-equal to
-        # the scalar closed form where it gives a depth, and 0 elsewhere.
+        # The map is geometry.ground_depths at pixel centres, held in float32
+        # as the file stores it: bit-equal to the scalar closed form rounded
+        # to float32 where it gives a depth, and 0 elsewhere.
         g = attitude_to_plane(CameraAttitude(roll=0.02, pitch=0.2, height=5.0))
         m = build_ground_depth_map(K, g, 64, 96)
+        assert m.depth.dtype == np.float32
         for row in (0, 13, 40, 63):
             for col in (0, 17, 60, 95):
                 z = ground_depth(col + 0.5, row + 0.5, K, g)
                 assert m.valid[row, col] == (z is not None)
-                assert m.depth[row, col] == (0.0 if z is None else z)
+                assert m.depth[row, col] == np.float32(0.0 if z is None else z)
+
+    @pytest.mark.parametrize("h", [1, 31, 32, 33, 65, 512])
+    def test_row_blocks_equal_the_whole_grid(self, h):
+        # Built 32 rows at a time, the map is the whole-grid kernel rounded
+        # to float32, bit for bit. The tilted horizon crosses rows
+        # 0.55 h +- 2, mid-block for h = 65 (rows 33-38) and h = 512.
+        w = 40
+        k = CameraIntrinsics(fx=50.0, fy=50.0, cx=w / 2, cy=0.55 * h)
+        g = attitude_to_plane(CameraAttitude(roll=0.1, pitch=0.0, height=5.0))
+        depth, valid = ground_depths(np.arange(w) + 0.5,
+                                     (np.arange(h) + 0.5)[:, None], k, g)
+        m = build_ground_depth_map(k, g, h, w)
+        assert np.array_equal(m.depth.view(np.uint32),
+                              depth.astype(np.float32).view(np.uint32))
+        assert np.array_equal(m.valid, valid)
+        if h >= 65:  # rows the horizon cuts lie inside a block
+            cut = np.flatnonzero(valid.any(axis=1) & ~valid.all(axis=1))
+            assert cut.size and (cut % 32 != 0).all() and (cut % 32 != 31).all()
+
+    def test_built_map_is_what_the_file_stores(self, tmp_path):
+        g = attitude_to_plane(CameraAttitude(roll=0.02, pitch=0.2, height=5.0))
+        m = build_ground_depth_map(K, g, 70, 96)
+        (tmp_path / "d.gpkm").write_bytes(pack_map(m.depth, m.valid))
+        back = load_depth_map(tmp_path / "d.gpkm")
+        assert back.depth.dtype == np.float64
+        assert np.array_equal(back.depth, m.depth)
+        assert np.array_equal(back.valid, m.valid)
 
     def test_sky_rows_masked(self):
         m = build_ground_depth_map(K, FLAT, 512, 928)
@@ -175,7 +205,11 @@ class TestRasterization:
 
     def test_offmap_triangle_writes_nothing(self):
         tri = make_region([[100.0, 100.0], [110.0, 100.0], [105.0, 110.0]])
-        assert (_rasterize(tri.pixels[None], 16, 16) == -1).all()
+        assert (expand_runs(_rasterize(tri.pixels[None], 16, 16), 16, 16) == -1).all()
+
+    def test_no_triangles_one_unowned_run(self):
+        lengths, ids = _rasterize(np.empty((0, 3, 2)), 7, 9)
+        assert lengths.tolist() == [63] and ids.tolist() == [-1]
 
 
 class TestRefinement:

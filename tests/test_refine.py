@@ -32,7 +32,7 @@ from gpk.maps import (
     refine_map,
     triangulate_ground_points,
 )
-from reference import plane_through, project
+from reference import expand_runs, plane_through, project
 
 
 def reference_triangulate(points, k):
@@ -298,7 +298,7 @@ def triangle_sets(draw):
 
 @given(triangle_sets())
 def test_rasterizer_equals_per_triangle_reference(triangles):
-    assert np.array_equal(_rasterize(triangles, H, W),
+    assert np.array_equal(expand_runs(_rasterize(triangles, H, W), H, W),
                           reference_raster(triangles, H, W))
 
 
@@ -317,7 +317,7 @@ def test_rasterizer_equals_per_triangle_reference(triangles):
 ])
 def test_edge_through_pixel_center_equals_reference(triangle):
     triangles = np.array([triangle])
-    assert np.array_equal(_rasterize(triangles, 16, 16),
+    assert np.array_equal(expand_runs(_rasterize(triangles, 16, 16), 16, 16),
                           reference_raster(triangles, 16, 16))
 
 
@@ -347,7 +347,7 @@ def test_fill_rule_partitions_the_hull(samples):
         return
     claims = np.zeros((H, W), dtype=int)
     for tri in simplices:
-        claims += _rasterize(uv[tri][None], H, W) == 0
+        claims += expand_runs(_rasterize(uv[tri][None], H, W), H, W) == 0
     cols, rows = np.meshgrid(np.arange(W) + 0.5, np.arange(H) + 0.5)
     centers = np.column_stack([cols.ravel(), rows.ravel()])
     inside = (centers @ hull.equations[:, :2].T + hull.equations[:, 2]
@@ -355,7 +355,8 @@ def test_fill_rule_partitions_the_hull(samples):
     assert (claims[inside] == 1).all()
     # Every triangle the refined map uses is one of these, so it owns what
     # they own, minus what skipped triangles own.
-    kept = _rasterize(np.array([r.pixels for r in regions]), H, W) >= 0
+    kept = expand_runs(_rasterize(np.array([r.pixels for r in regions]), H, W),
+                       H, W) >= 0
     assert not (kept & (claims == 0)).any()
 
 
@@ -387,12 +388,13 @@ def point_sets(draw):
 def test_refined_runs_are_the_raster_runs(triangles):
     # refine_map's runs over exactly these triangles: its sub-plane fit is
     # replaced by one returning them, each with a plane of its own. The
-    # written runs must be maximal, since the pinned bytes depend on it.
+    # written runs must be maximal, since the pinned bytes depend on it,
+    # and stand for the per-triangle reference raster.
     planes = np.arange(4.0 * len(triangles)).reshape(-1, 4)
     fit = (None, triangles, planes, 0)
     with mock.patch("gpk.maps._fit_sub_planes", return_value=fit):
         refined, stats = refine_map(GROUND, flat_boxes([]), K_MAP, H, W)
-    raster = _rasterize(triangles, H, W)
+    raster = reference_raster(triangles, H, W)
     table = np.vstack([planes, GROUND.params()])
     assert np.array_equal(refined.planes, table)
     assert np.array_equal(refined.dense().view(np.uint64),
