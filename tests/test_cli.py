@@ -14,7 +14,7 @@ import pytest
 import scipy
 
 import gpk
-from gpk import analysis
+from gpk import analysis, cli
 from gpk.cli import (_frames_from_args, _load_real_frame, _map_blobs,
                      _perturbation_pairs, build_parser, main)
 from gpk.dataio import (
@@ -231,6 +231,60 @@ class TestGenMaps:
             "--denorm", str(tmp_path / "nope.txt"),
         ])
         assert code == 1
+
+
+
+class TestGenMapsFailure:
+    """A gen-maps run of four frames that fails at frame 2 leaves frames
+    0-1 on disk, complete and as a clean run writes them, and nothing of
+    frame 3: no map, no report.csv, no manifest.json."""
+
+    FLAGS = ["--seed", "4", "--frames", "4", "--stride", "16"]
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("clean")
+        assert run(["gen-maps", "--out", str(out)] + self.FLAGS) == 0
+        return dir_bytes(out)
+
+    @staticmethod
+    def check_left_on_disk(out, clean):
+        names = os.listdir(out)
+        assert "manifest.json" not in names and "report.csv" not in names
+        assert not [n for n in names if "_000003" in n]
+        for name in (f"{tag}_{fid}.gpkm" for fid in ("000000", "000001")
+                     for tag in ("depth", "global", "refined")):
+            assert (out / name).read_bytes() == clean[name], name
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_compute_failure_exit_2(self, tmp_path, capsys, monkeypatch, clean,
+                                    jobs):
+        map_blobs = cli._map_blobs
+
+        def fail_frame_2(frame, stride):
+            if frame.frame_id == "000002":
+                raise ValueError("frame 2 cannot be mapped")
+            return map_blobs(frame, stride)
+
+        monkeypatch.setattr(cli, "_map_blobs", fail_frame_2)
+        out = tmp_path / "maps"
+        assert run(["gen-maps", "--out", str(out), "--jobs", jobs]
+                   + self.FLAGS) == 2
+        assert capsys.readouterr().err == "error: frame 2 cannot be mapped\n"
+        self.check_left_on_disk(out, clean)
+        assert not [n for n in os.listdir(out) if "_000002" in n]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_write_failure_exit_1(self, tmp_path, capsys, clean, jobs):
+        out = tmp_path / "maps"
+        (out / "depth_000002.gpkm").mkdir(parents=True)
+        assert run(["gen-maps", "--out", str(out), "--jobs", jobs]
+                   + self.FLAGS) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "depth_000002.gpkm" in err
+        self.check_left_on_disk(out, clean)
+        assert (out / "depth_000002.gpkm").is_dir()
 
 
 @pytest.mark.parametrize("flag", ["labels", "calib", "denorm", "config", "pred"])
