@@ -62,12 +62,20 @@ def _setup_logging():
 
 
 def atomic_write(path, data) -> None:
-    """Write bytes or text via a temp file and rename."""
+    """Write bytes or text via a temp file and rename. If the write or the
+    rename fails, the temp file is removed and the error re-raised."""
     mode = "wb" if isinstance(data, bytes) else "w"
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, mode) as f:
-        f.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, mode) as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:  # never created, or already gone
+            pass
+        raise
 
 
 def _config_digest(cfg: dict) -> str:

@@ -284,7 +284,25 @@ class TestGenMapsFailure:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "depth_000002.gpkm" in err
         self.check_left_on_disk(out, clean)
+        # No temp file is left: of frame 2 there is only the directory.
+        assert [n for n in os.listdir(out) if "_000002" in n] == [
+            "depth_000002.gpkm"]
         assert (out / "depth_000002.gpkm").is_dir()
+
+
+
+@pytest.mark.parametrize("data,error", [(b"map", IsADirectoryError),
+                                        (17, TypeError)],
+                         ids=["rename-fails", "write-fails"])
+def test_atomic_write_failure_removes_its_temp_file(tmp_path, data, error):
+    (tmp_path / "out").mkdir()
+    target = tmp_path / "out" / "depth_000000.gpkm"
+    if error is IsADirectoryError:
+        target.mkdir()
+    with pytest.raises(error):
+        cli.atomic_write(target, data)
+    assert os.listdir(tmp_path / "out") == (
+        ["depth_000000.gpkm"] if error is IsADirectoryError else [])
 
 
 @pytest.mark.parametrize("flag", ["labels", "calib", "denorm", "config", "pred"])
