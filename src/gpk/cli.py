@@ -230,8 +230,11 @@ def _load_real_frame(args) -> FrameRecord:
     rig = parse_calibration(_read_input("calib", args.calib))
     objects = parse_labels(_read_input("labels", args.labels))
     ground = parse_ground_plane(_read_input("denorm", args.denorm))
-    k = rig.intrinsics
-    size = args.resolution or (int(round(2 * k.cy)), int(round(2 * k.cx)))
+    cx, cy = float(rig.intrinsics.cx), float(rig.intrinsics.cy)
+    if args.resolution is None and not np.isfinite([2 * cy, 2 * cx]).all():
+        raise ParseError(f"twice the principal point ({cx!r}, {cy!r}) is not "
+                         "finite; give --resolution")
+    size = args.resolution or (int(round(2 * cy)), int(round(2 * cx)))
     if min(size) < 1:
         raise ParseError(f"image size {size[0]}x{size[1]} from twice the "
                          "principal point is not positive; give --resolution")

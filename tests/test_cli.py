@@ -428,6 +428,21 @@ class TestRealFrames:
             assert code == 0
 
     @pytest.mark.parametrize("command", ["gen-maps", "perturb", "stats"])
+    @pytest.mark.parametrize("cx,cy", [(1e308, 256.0), (464.0, 1e308)])
+    def test_principal_point_too_large_to_double_exit_1(
+            self, tmp_path, capsys, synth, command, cx, cy):
+        # 2 * 1e308 overflows: refused with one line, not an OverflowError.
+        calib = synth / "calib_000000.txt"
+        k = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=cx, cy=cy)
+        calib.write_text(serialize_calibration(CameraRig(k)))
+        out = tmp_path / "o"
+        assert run([command, "--out", str(out)] + real_inputs(synth)) == 1
+        assert capsys.readouterr().err == (
+            f"error: twice the principal point ({cx!r}, {cy!r}) is not finite; "
+            "give --resolution\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-maps", "perturb", "stats"])
     def test_labels_without_calib_exit_1(self, tmp_path, capsys, command):
         out = tmp_path / "o"
         assert run([command, "--out", str(out),
