@@ -7,11 +7,18 @@ of --calib/--labels/--denorm is given. A frame carries its image size:
 principal point (real).
 
 Every command that takes --out writes through one `_Output`: it creates
-the directory, writes each file atomically (temp + rename) and records it,
-and writes manifest.json last. Data files are byte-reproducible for a
-fixed seed regardless of --jobs. gen-maps and synth write each frame's
-files as soon as that frame is done, so a run that fails mid-fleet leaves
-the earlier frames' files but no manifest.
+the directory, writes each file atomically (temp + rename; a failed write
+leaves no temp file) and records it, and writes manifest.json last. Data
+files are byte-reproducible for a fixed seed regardless of --jobs.
+
+gen-maps writes frame i's files on one writer thread while it computes
+frame i + 1, with at most one frame in flight. The last frame, report.csv
+and manifest.json are written on the calling thread, so a one-frame run
+starts no thread. synth writes each frame's files as soon as that frame
+is done. A gen-maps run that fails at frame i (exit 2 if it cannot be
+computed, 1 if a file cannot be written) leaves the frames before i
+complete, nothing of the frames after it, and no report.csv or
+manifest.json.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from .dataio import (
 )
 from .errors import ConfigError, GpkError, ParseError
 from .losses import COMPONENT_NAMES, denorm_l1, frame_loss_components, total_loss
-from .mapfile import MAX_PIECEWISE_VALUES, pack_map
+from .mapfile import MAX_PIECEWISE_VALUES, pack_parts
 from .maps import PlaneMap, build_ground_depth_map, refine_map
 
 EXIT_OK = 0
@@ -62,13 +69,15 @@ def _setup_logging():
 
 
 def atomic_write(path, data) -> None:
-    """Write bytes or text via a temp file and rename. If the write or the
-    rename fails, the temp file is removed and the error re-raised."""
-    mode = "wb" if isinstance(data, bytes) else "w"
+    """Write text, bytes, or a sequence of byte buffers (written in order,
+    never joined) via a temp file and rename. If the write or the rename
+    fails, the temp file is removed and the error re-raised."""
+    mode = "w" if isinstance(data, str) else "wb"
+    parts = (data,) if isinstance(data, (str, bytes)) else data
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, mode) as f:
-            f.write(data)
+            f.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -130,6 +139,11 @@ class _Output:
         path = os.path.join(self.args.out, name)
         atomic_write(path, data)
         self.paths.append(path)
+
+    def write_all(self, files) -> None:
+        """write() each (name, data) pair, in order."""
+        for name, data in files:
+            self.write(name, data)
 
     def close(self, inputs, counters) -> None:
         write_manifest(self.args, inputs, self.paths, counters, self.t0)
@@ -270,7 +284,8 @@ def _per_frame(frames, jobs: int, work):
 
 
 def _map_blobs(frame: FrameRecord, stride: int):
-    """Serialized (tag, map) pairs plus refinement counters and residual."""
+    """(tag, pack_parts of the map) pairs plus refinement counters and
+    residual."""
     k, h, w = frame.map_grid(stride)
     # Refine first, so the rasterizer's temporaries are gone before the
     # depth map exists. The plane maps are written as their plane tables.
@@ -281,9 +296,9 @@ def _map_blobs(frame: FrameRecord, stride: int):
     residual = float(dev.sum()) / (4 * h * w)
     depth = build_ground_depth_map(k, frame.ground, h, w)
     blobs = (
-        ("depth", pack_map(depth.depth, depth.valid)),
-        ("global", pack_map(PlaneMap(planes[-1:], [h * w], [0], h, w))),
-        ("refined", pack_map(refined)),
+        ("depth", pack_parts(depth.depth, depth.valid)),
+        ("global", pack_parts(PlaneMap(planes[-1:], [h * w], [0], h, w))),
+        ("refined", pack_parts(refined)),
     )
     return blobs, stats, residual
 
@@ -297,15 +312,37 @@ def cmd_gen_maps(args) -> int:
                              "values of a piecewise map; lower --resolution")
     report, counters = [], {"frames": len(frames)}
     results = _per_frame(frames, args.jobs, lambda f: _map_blobs(f, args.stride))
-    for frame, (blobs, stats, residual) in zip(frames, results):
-        fid = frame.frame_id
-        for tag, blob in blobs:
-            out.write(f"{tag}_{fid}.gpkm", blob)
-        for key, value in stats.items():
-            counters[key] = counters.get(key, 0) + value
-        report.append(f"{fid},{residual!r},{stats['insufficient_points']},"
-                      f"{stats['degenerate_skipped']}")
-        log.info("frame %s: refinement residual %.3g", fid, residual)
+    # Frame i's files go to one writer thread while frame i + 1 is computed.
+    # Its writes end before frame i + 1's are handed over, so at most one
+    # frame is in flight; the last frame is written here, so a one-frame
+    # run starts no thread.
+    writing = None
+    with ThreadPoolExecutor(max_workers=1) as writer:
+        try:
+            for i, (frame, (blobs, stats, residual)) in enumerate(
+                    zip(frames, results)):
+                fid = frame.frame_id
+                files = [(f"{tag}_{fid}.gpkm", parts) for tag, parts in blobs]
+                done, writing = writing, None
+                if done is not None:
+                    done.result()
+                if i + 1 < len(frames):
+                    writing = writer.submit(out.write_all, files)
+                else:
+                    out.write_all(files)
+                for key, value in stats.items():
+                    counters[key] = counters.get(key, 0) + value
+                report.append(f"{fid},{residual!r},{stats['insufficient_points']},"
+                              f"{stats['degenerate_skipped']}")
+                log.info("frame %s: refinement residual %.3g", fid, residual)
+        finally:
+            # Join the --jobs threads now, not when this frame is freed: a
+            # write error held by its future keeps the frame in a cycle.
+            results.close()
+            # The loop failed while frame i's writes were in flight: a write
+            # error there comes first in frame order, so it is the one raised.
+            if writing is not None:
+                writing.result()
     out.write(
         "report.csv",
         "frame_id,refined_vs_global_l1,insufficient_points,degenerate_skipped\n"

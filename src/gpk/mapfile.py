@@ -37,11 +37,19 @@ _COUNTS = struct.Struct("<II")
 
 def pack_map(data, mask: np.ndarray | None = None) -> bytes:
     """Serialize an (h, w) or (h, w, c) array, optionally with a bool mask,
-    in the dense layout, or a PlaneMap in the piecewise layout."""
+    in the dense layout, or a PlaneMap in the piecewise layout: the join of
+    pack_parts(data, mask)."""
+    return b"".join(pack_parts(data, mask))
+
+
+def pack_parts(data, mask: np.ndarray | None = None) -> tuple:
+    """The buffers whose concatenation is pack_map(data, mask), in file
+    order. A writer writes them one after another, so a dense payload goes
+    to the file from its array's own buffer, which may be `data`'s."""
     if isinstance(data, PlaneMap):
         if mask is not None:
             raise ValueError("a piecewise map has no mask")
-        return _pack_piecewise(data)
+        return _piecewise_parts(data)
     data = np.ascontiguousarray(data, dtype="<f4")
     if data.ndim == 2:
         data = data[:, :, None]
@@ -50,18 +58,17 @@ def pack_map(data, mask: np.ndarray | None = None) -> bytes:
     if 0 in data.shape:
         raise ValueError(f"empty map {data.shape}")
     h, w, c = data.shape
-    parts = [_HEADER.pack(MAGIC, VERSION, h, w, c, 1 if mask is not None else 0)]
-    parts.append(data)  # joined from its buffer: no copy before the join
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (h, w):
-            raise ValueError("mask shape must match map dimensions")
-        parts.append(np.packbits(mask.reshape(-1)))
-    return b"".join(parts)
+    header = _HEADER.pack(MAGIC, VERSION, h, w, c, 1 if mask is not None else 0)
+    if mask is None:
+        return header, data
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (h, w):
+        raise ValueError("mask shape must match map dimensions")
+    return header, data, np.packbits(mask.reshape(-1))
 
 
-def _pack_piecewise(m: PlaneMap) -> bytes:
-    planes, h, w = np.asarray(m.planes, dtype="<f4"), m.h, m.w
+def _piecewise_parts(m: PlaneMap) -> tuple:
+    planes, h, w = np.ascontiguousarray(m.planes, dtype="<f4"), m.h, m.w
     # The file's (2, r) table of lengths and ids; np.stack refuses unpaired runs.
     runs = np.stack([m.lengths, m.ids]).reshape(2, -1)
     if planes.ndim != 2 or 0 in planes.shape or h < 1 or w < 1:
@@ -73,9 +80,8 @@ def _pack_piecewise(m: PlaneMap) -> bytes:
         raise ValueError(f"runs must be non-negative integers covering {h}x{w} pixels")
     if runs[1].max() >= n:
         raise ValueError(f"a run names a plane beyond the {n}-plane table")
-    return b"".join((_HEADER.pack(MAGIC, PIECEWISE, h, w, c, 0),
-                     _COUNTS.pack(n, runs.shape[1]), planes.tobytes(),
-                     runs.astype("<u4").tobytes()))
+    return (_HEADER.pack(MAGIC, PIECEWISE, h, w, c, 0),
+            _COUNTS.pack(n, runs.shape[1]), planes, runs.astype("<u4"))
 
 
 def unpack_map(blob: bytes):

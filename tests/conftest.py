@@ -1,11 +1,24 @@
 import sys
+import threading
 
+import pytest
 from hypothesis import settings
 
 # No per-example deadline and a bounded example count: the suite runs on
 # small shared hosts where one slow example must not fail a property.
 settings.register_profile("gpk", deadline=None, max_examples=60)
 settings.load_profile("gpk")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_alive():
+    """Fail any test that leaves a thread alive after it, whether its
+    command succeeded or failed: every pool or writer thread a command
+    starts must be joined before the command returns."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left alive: {left}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -289,6 +290,39 @@ class TestGenMapsFailure:
             "depth_000002.gpkm"]
         assert (out / "depth_000002.gpkm").is_dir()
 
+
+
+@pytest.mark.parametrize("frames,threads", [("1", 0), ("2", 1), ("4", 1)])
+def test_gen_maps_writer_thread(tmp_path, monkeypatch, frames, threads):
+    # Frames before the last are written on one writer thread, each
+    # frame's writes ending before the next frame's begin; the last frame,
+    # report.csv and manifest.json are written on the calling thread.
+    started, writes = [], []
+    start, write = threading.Thread.start, cli.atomic_write
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    def recording_write(path, data):
+        on_main = threading.current_thread() is threading.main_thread()
+        writes.append(("begin", os.path.basename(path), on_main))
+        write(path, data)
+        writes.append(("end", os.path.basename(path), on_main))
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    monkeypatch.setattr(cli, "atomic_write", recording_write)
+    out = tmp_path / "maps"
+    assert run(["gen-maps", "--out", str(out), "--seed", "4", "--frames",
+                frames, "--stride", "16"]) == 0
+    assert len(started) == threads
+    n = int(frames)
+    names = [f"{tag}_{i:06d}.gpkm" for i in range(n)
+             for tag in ("depth", "global", "refined")]
+    names += ["report.csv", "manifest.json"]
+    assert writes == [(event, name, i >= 3 * (n - 1))
+                      for i, name in enumerate(names)
+                      for event in ("begin", "end")]
 
 
 @pytest.mark.parametrize("data,error", [(b"map", IsADirectoryError),

@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gpk.cli import atomic_write
 from gpk.dataio import BOX3D_DTYPE
 from gpk.errors import (
     AllDegenerate,
@@ -31,6 +32,7 @@ from gpk.mapfile import (
     load_denorm_map,
     load_depth_map,
     pack_map,
+    pack_parts,
     unpack_map,
 )
 from gpk.maps import (
@@ -467,6 +469,37 @@ class TestPiecewiseProperties:
         else:
             with pytest.raises(ParseError):
                 load_denorm_map(gpkm_path)
+
+
+@st.composite
+def dense_maps(draw):
+    """(data, mask or None): an (h, w) or (h, w, c) array of float32 or
+    float64 in either byte order, C-ordered, Fortran-ordered or a reversed
+    view, with or without a mask."""
+    shape = draw(st.lists(st.integers(1, 7), min_size=2, max_size=3))
+    dtype = draw(st.sampled_from(["<f4", ">f4", "<f8", ">f8"]))
+    data = draw(hnp.arrays(dtype, shape, elements=st.floats(width=32)))
+    data = draw(st.sampled_from([data, np.asfortranarray(data), data[:, ::-1]]))
+    mask = draw(st.none() | hnp.arrays(bool, shape[:2]))
+    return data, mask
+
+
+class TestWrittenParts:
+    """gen-maps writes each map as pack_parts' buffers, one after another;
+    pack_map is their join. The file must hold exactly pack_map's bytes."""
+
+    @given(st.one_of(dense_maps(), plane_maps().map(lambda t: (t[0], None))))
+    @example((np.zeros((1, 1), "<f4"), None))
+    @example((np.zeros((1, 1), "<f4"), np.ones((1, 1), bool)))
+    def test_file_equals_pack_map(self, gpkm_path, table):
+        data, mask = table
+        atomic_write(gpkm_path, pack_parts(data, mask))
+        blob = pack_map(data, mask)
+        assert gpkm_path.read_bytes() == blob
+        if not isinstance(data, PlaneMap):
+            payload = np.asarray(data, "<f4").tobytes()
+            bits = b"" if mask is None else np.packbits(mask).tobytes()
+            assert blob[_HEADER.size:] == payload + bits
 
 
 VALID_BLOBS = [
