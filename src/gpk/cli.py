@@ -284,8 +284,8 @@ def _per_frame(frames, jobs: int, work):
 
 
 def _map_blobs(frame: FrameRecord, stride: int):
-    """(tag, pack_parts of the map) pairs plus refinement counters and
-    residual."""
+    """The frame's (file name, pack_parts of the map) pairs, plus its
+    refinement counters and residual."""
     k, h, w = frame.map_grid(stride)
     # Refine first, so the rasterizer's temporaries are gone before the
     # depth map exists. The plane maps are written as their plane tables.
@@ -295,12 +295,13 @@ def _map_blobs(frame: FrameRecord, stride: int):
     dev = np.abs(planes[ids] - planes[-1]) * n[:, None]
     residual = float(dev.sum()) / (4 * h * w)
     depth = build_ground_depth_map(k, frame.ground, h, w)
-    blobs = (
-        ("depth", pack_parts(depth.depth, depth.valid)),
-        ("global", pack_parts(PlaneMap(planes[-1:], [h * w], [0], h, w))),
-        ("refined", pack_parts(refined)),
-    )
-    return blobs, stats, residual
+    fid = frame.frame_id
+    files = [
+        (f"depth_{fid}.gpkm", pack_parts(depth.depth, depth.valid)),
+        (f"global_{fid}.gpkm", pack_parts(PlaneMap(planes[-1:], [h * w], [0], h, w))),
+        (f"refined_{fid}.gpkm", pack_parts(refined)),
+    ]
+    return files, stats, residual
 
 
 def cmd_gen_maps(args) -> int:
@@ -319,10 +320,8 @@ def cmd_gen_maps(args) -> int:
     writing = None
     with ThreadPoolExecutor(max_workers=1) as writer:
         try:
-            for i, (frame, (blobs, stats, residual)) in enumerate(
-                    zip(frames, results)):
-                fid = frame.frame_id
-                files = [(f"{tag}_{fid}.gpkm", parts) for tag, parts in blobs]
+            for i, frame in enumerate(frames):
+                files, stats, residual = next(results)
                 done, writing = writing, None
                 if done is not None:
                     done.result()
@@ -330,11 +329,16 @@ def cmd_gen_maps(args) -> int:
                     writing = writer.submit(out.write_all, files)
                 else:
                     out.write_all(files)
+                # The writer holds the last reference to the maps, so each
+                # is freed once written, not after the next frame.
+                del files
                 for key, value in stats.items():
                     counters[key] = counters.get(key, 0) + value
-                report.append(f"{fid},{residual!r},{stats['insufficient_points']},"
+                report.append(f"{frame.frame_id},{residual!r},"
+                              f"{stats['insufficient_points']},"
                               f"{stats['degenerate_skipped']}")
-                log.info("frame %s: refinement residual %.3g", fid, residual)
+                log.info("frame %s: refinement residual %.3g", frame.frame_id,
+                         residual)
         finally:
             # Join the --jobs threads now, not when this frame is freed: a
             # write error held by its future keeps the frame in a cycle.
