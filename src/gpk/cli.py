@@ -69,11 +69,10 @@ def _setup_logging():
 
 
 def atomic_write(path, data) -> None:
-    """Write text, bytes, or a sequence of byte buffers (written in order,
-    never joined) via a temp file and rename. If the write or the rename
-    fails, the temp file is removed and the error re-raised."""
-    mode = "w" if isinstance(data, str) else "wb"
-    parts = (data,) if isinstance(data, (str, bytes)) else data
+    """Write text, or a sequence of byte buffers (in order, never joined),
+    via a temp file and rename. If the write or the rename fails, the temp
+    file is removed and the error re-raised."""
+    mode, parts = ("w", [data]) if isinstance(data, str) else ("wb", data)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, mode) as f:

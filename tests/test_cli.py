@@ -325,8 +325,8 @@ def test_gen_maps_writer_thread(tmp_path, monkeypatch, frames, threads):
                       for event in ("begin", "end")]
 
 
-@pytest.mark.parametrize("data,error", [(b"map", IsADirectoryError),
-                                        (17, TypeError)],
+@pytest.mark.parametrize("data,error", [([b"map"], IsADirectoryError),
+                                        ([17], TypeError)],
                          ids=["rename-fails", "write-fails"])
 def test_atomic_write_failure_removes_its_temp_file(tmp_path, data, error):
     (tmp_path / "out").mkdir()
