@@ -234,7 +234,6 @@ class TestGenMaps:
         assert code == 1
 
 
-
 class TestGenMapsFailure:
     """A gen-maps run of four frames that fails at frame 2 leaves frames
     0-1 on disk, complete and as a clean run writes them, and nothing of
@@ -289,7 +288,6 @@ class TestGenMapsFailure:
         assert [n for n in os.listdir(out) if "_000002" in n] == [
             "depth_000002.gpkm"]
         assert (out / "depth_000002.gpkm").is_dir()
-
 
 
 @pytest.mark.parametrize("frames,threads", [("1", 0), ("2", 1), ("4", 1)])
